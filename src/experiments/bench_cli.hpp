@@ -1,13 +1,11 @@
-// The shared command-line interface of every reproduction entry point —
-// the per-figure bench binaries (now thin shims) and the afs_sweep batch
-// driver both parse exactly these flags, so `bench_fig04_gauss_iris
-// --jobs=4 --trace` and `afs_sweep run fig04 --jobs=4 --trace` mean the
-// same thing.
+// The command-line interface of `afs_sweep run` (tools/afs_sweep.cpp),
+// the one entry point for the paper's figures and tables. The sweep
+// daemon reuses the same struct for each request's options.
 //
 //   --procs=1,2,4     override the processor sweep (figures only)
 //   --out-dir=DIR     write CSVs (and traces) under DIR [bench_results]
-//   --trace           also write an event trace per (scheduler, P) cell
-//   --trace-format=F  trace encoding: jsonl | binary (implies --trace)
+//   --trace           also write a .cctrace per (scheduler, P) cell
+//   --time-phases     write the engine's host phase breakdown
 //   --jobs=N          run (scheduler, P) cells on N threads [1]
 //   --resume          reload finished cells from the sweep checkpoint
 //   --cell-timeout=S  wall-clock deadline (seconds) per cell attempt
@@ -17,40 +15,28 @@
 //   --no-store        disable the store (afs_sweep enables it by default)
 //   --help            usage
 //
-// Lives in src/experiments (not bench/) because the experiment registry
-// and the driver are the real consumers; the bench binaries just forward
-// argv to shim_main(). See docs/SWEEP_SERVICE.md.
+// See docs/SWEEP_SERVICE.md.
 #pragma once
 
 #include <cerrno>
 #include <cstdlib>
-#include <iostream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "runtime/sweep_runner.hpp"
-#include "trace/trace_record.hpp"
 
 namespace afs::bench {
 
-/// Options common to every bench binary and the driver. Defaults reproduce
-/// the paper configuration exactly; anything else is an explicit
-/// deviation.
+/// Options of one experiment run. Defaults reproduce the paper
+/// configuration exactly; anything else is an explicit deviation.
 struct BenchCli {
   std::vector<int> procs;                 ///< empty = the figure's own sweep
   std::string out_dir = "bench_results";  ///< CSV / trace destination
-  bool trace = false;  ///< write one trace per (scheduler, P) cell under
-                       ///< <out_dir> (see trace_cell_path)
-  TraceFormat trace_format = TraceFormat::kJsonl;  ///< encoding when tracing
+  bool trace = false;  ///< write one .cctrace per (scheduler, P) cell
+                       ///< under <out_dir> (see trace_cell_path)
   bool time_phases = false;  ///< collect engine phase timers; write
                              ///< <out_dir>/<id>.phases.json
-  bool no_batch = false;     ///< A/B: disable iteration batching
-  bool no_memory_fast_path = false;  ///< A/B: disable the exclusive-
-                                     ///< residency memory fast path
-  bool no_calendar_queue = false;    ///< A/B: reference binary-heap
-                                     ///< EventCore instead of the ring
-  bool no_epoch_batch = false;       ///< A/B: rebuild engine state per run
-                                     ///< instead of warm-state reuse
   int jobs = 1;                ///< sweep-runner worker threads
   bool resume = false;         ///< reload checkpointed cells
   double cell_timeout = 0.0;   ///< seconds per cell attempt; 0 = unlimited
@@ -68,35 +54,21 @@ struct BenchCli {
 
 inline void print_usage(const char* argv0, std::ostream& out) {
   out << "usage: " << argv0
-      << " [--procs=1,2,4] [--out-dir=DIR] [--trace] [--trace-format=F]\n"
-      << "       [--time-phases] [--no-batch] [--no-memory-fast-path]\n"
-      << "       [--no-calendar-queue] [--no-epoch-batch]\n"
+      << " [--procs=1,2,4] [--out-dir=DIR] [--trace] [--time-phases]\n"
       << "       [--jobs=N] [--resume] [--cell-timeout=S] [--sweep-timeout=S]\n"
       << "       [--cell-retries=N] [--store=DIR] [--no-store]\n"
       << "  --procs=LIST   comma-separated processor counts overriding the\n"
       << "                 figure's standard sweep\n"
       << "  --out-dir=DIR  directory for CSV output (default bench_results)\n"
       << "  --trace        also stream an event trace per (scheduler, P)\n"
-      << "                 cell to <out-dir>/<id>.p<P>.<scheduler>.*\n"
-      << "                 (see docs/SIMULATOR.md, \"Trace schema\");\n"
-      << "                 composes with --jobs/--resume\n"
-      << "  --trace-format=F  trace encoding: jsonl (default) or binary\n"
-      << "                 (.cctrace, ~10x smaller; implies --trace; render\n"
-      << "                 either with tools/trace_report)\n"
+      << "                 cell to <out-dir>/<id>.p<P>.<scheduler>.cctrace\n"
+      << "                 (render with tools/trace_report, dump as JSON\n"
+      << "                 lines with trace_report --jsonl); composes with\n"
+      << "                 --jobs/--resume\n"
       << "  --time-phases  collect the engine's host wall-clock phase\n"
       << "                 breakdown and write <out-dir>/<id>.phases.json\n"
       << "                 (simulated results stay bit-identical; see\n"
       << "                 tools/phase_report.py)\n"
-      << "  --no-batch     disable iteration batching (A/B check; results\n"
-      << "                 are bit-identical, only slower)\n"
-      << "  --no-memory-fast-path  disable the memory system's exclusive-\n"
-      << "                 residency fast path (A/B check; bit-identical)\n"
-      << "  --no-calendar-queue  use the reference binary-heap event queue\n"
-      << "                 instead of the calendar ring (A/B check;\n"
-      << "                 bit-identical, only slower)\n"
-      << "  --no-epoch-batch  rebuild engine state per run instead of\n"
-      << "                 reusing a warmed simulator across cells (A/B\n"
-      << "                 check; bit-identical, only slower)\n"
       << "  --jobs=N       run independent (scheduler, P) sweep cells on N\n"
       << "                 threads (default 1 = serial; results identical)\n"
       << "  --resume       reload finished cells from the sweep checkpoint\n"
@@ -112,15 +84,15 @@ inline void print_usage(const char* argv0, std::ostream& out) {
       << "                 addressed result store rooted at DIR; a cell\n"
       << "                 simulated once is never simulated again\n"
       << "                 (docs/SWEEP_SERVICE.md)\n"
-      << "  --no-store     disable the store (afs_sweep defaults it to\n"
-      << "                 <out-dir>/.store; the per-figure binaries\n"
-      << "                 default it off)\n";
+      << "  --no-store     disable the store (afs_sweep run defaults it\n"
+      << "                 to <out-dir>/.store)\n";
 }
 
-/// Pure parser behind parse_cli, exposed so tests can drive it without a
-/// process exit. Parses `args` (argv[1..]) into `cli`. Returns false with
-/// `error` describing the offending flag/value on malformed input; sets
-/// `want_help` (and returns true) when --help / -h is present.
+/// Parses `args` (the flags after `afs_sweep run`) into `cli`. Unknown
+/// flags are errors: a typo should fail loudly, not silently run the
+/// default multi-minute sweep. Returns false with `error` describing the
+/// offending flag/value on malformed input; sets `want_help` (and returns
+/// true) when --help / -h is present.
 inline bool parse_cli_args(const std::vector<std::string>& args, BenchCli& cli,
                            std::string& error, bool& want_help) {
   error.clear();
@@ -147,28 +119,8 @@ inline bool parse_cli_args(const std::vector<std::string>& args, BenchCli& cli,
       return true;
     } else if (arg == "--trace") {
       cli.trace = true;
-    } else if (arg.rfind("--trace-format=", 0) == 0) {
-      const std::string tok = arg.substr(15);
-      if (tok == "jsonl") {
-        cli.trace_format = TraceFormat::kJsonl;
-      } else if (tok == "binary") {
-        cli.trace_format = TraceFormat::kBinary;
-      } else {
-        error = "bad --trace-format value '" + tok +
-                "' (need jsonl or binary)";
-        return false;
-      }
-      cli.trace = true;  // choosing an encoding is asking for a trace
     } else if (arg == "--time-phases") {
       cli.time_phases = true;
-    } else if (arg == "--no-batch") {
-      cli.no_batch = true;
-    } else if (arg == "--no-memory-fast-path") {
-      cli.no_memory_fast_path = true;
-    } else if (arg == "--no-calendar-queue") {
-      cli.no_calendar_queue = true;
-    } else if (arg == "--no-epoch-batch") {
-      cli.no_epoch_batch = true;
     } else if (arg.rfind("--cell-retries=", 0) == 0) {
       const std::string tok = arg.substr(15);
       char* end = nullptr;
@@ -245,26 +197,6 @@ inline bool parse_cli_args(const std::vector<std::string>& args, BenchCli& cli,
     }
   }
   return true;
-}
-
-/// Parses the shared flags; prints usage and exits on --help or on
-/// anything unrecognized (these are batch reproduction binaries — a typo
-/// should fail loudly, not silently run the default 20-minute sweep).
-inline BenchCli parse_cli(int argc, char** argv) {
-  BenchCli cli;
-  std::string error;
-  bool want_help = false;
-  if (!parse_cli_args(std::vector<std::string>(argv + 1, argv + argc), cli,
-                      error, want_help)) {
-    std::cerr << argv[0] << ": " << error << "\n";
-    print_usage(argv[0], std::cerr);
-    std::exit(2);
-  }
-  if (want_help) {
-    print_usage(argv[0], std::cout);
-    std::exit(EXIT_SUCCESS);
-  }
-  return cli;
 }
 
 /// CSV path for a non-figure table under the chosen output directory.

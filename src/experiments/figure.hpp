@@ -2,8 +2,8 @@
 // a processor sweep on a simulated machine, collects completion times and
 // metric breakdowns, prints the paper's series and writes CSV.
 //
-// Every bench/ reproduction binary is a thin declaration of one
-// FigureSpec (plus any custom rows the original table had).
+// Every registered figure experiment (experiments/registry.hpp) is a thin
+// declaration of one FigureSpec plus its paper shape checks.
 #pragma once
 
 #include <functional>
@@ -58,14 +58,13 @@ struct FigureSpec {
   std::vector<SchedulerEntry> schedulers;
   SimOptions sim_options;
   std::string out_dir = "bench_results";  ///< where <id>.csv lands
-  /// kNone (default): no event tracing. Otherwise every (scheduler, P)
-  /// sweep cell streams its own trace to
-  /// trace_cell_path(out_dir, id, label, P, trace_format), finalized
-  /// atomically when the cell completes and discarded when it fails —
-  /// so tracing composes with parallel (--jobs=N) and resumed sweeps:
-  /// cells never share a writer, and a resumed cell's already-published
-  /// trace is left untouched.
-  TraceFormat trace_format = TraceFormat::kNone;
+  /// When set, every (scheduler, P) sweep cell streams its own .cctrace
+  /// to trace_cell_path(out_dir, id, label, P), finalized atomically
+  /// when the cell completes and discarded when it fails — so tracing
+  /// composes with parallel (--jobs=N) and resumed sweeps: cells never
+  /// share a writer, and a resumed cell's already-published trace is
+  /// left untouched.
+  bool trace = false;
   /// Optional content-addressed result store (not owned). When set, each
   /// cacheable (scheduler, P) cell — program and scheduler both carry
   /// store keys, and the run is neither traced nor host-timed — is first

@@ -62,14 +62,10 @@ Experiment figure_experiment(
     if (!cli.procs.empty()) spec.procs = cli.procs;
     spec.out_dir = cli.out_dir;
     if (cli.time_phases) spec.sim_options.time_phases = true;
-    if (cli.no_batch) spec.sim_options.batch_iterations = false;
-    if (cli.no_memory_fast_path) spec.sim_options.memory_fast_path = false;
-    if (cli.no_calendar_queue) spec.sim_options.calendar_queue = false;
-    if (cli.no_epoch_batch) spec.sim_options.epoch_batch = false;
     // Tracing is per sweep cell (each cell constructs, finalizes, or
     // abandons its own sink inside run_figure), which is what lets
     // --trace compose with --jobs=N and --resume.
-    if (cli.trace) spec.trace_format = cli.trace_format;
+    spec.trace = cli.trace;
     spec.store = ctx.store;
     // Out-of-process isolation: registered figures are rebuildable from
     // their id (grids arrive with the recipe pre-filled by

@@ -1,12 +1,12 @@
 // The experiment registry: every figure/table reproduction the repo knows
 // how to run, keyed by id ("fig03".."fig17", "tab2".."tab7",
-// "ablation_afs", "micro_queues", "trend_comm_ratio").
+// "ablation_afs", "micro_queues", "trend_comm_ratio",
+// "frontier_tradeoff").
 //
-// Each entry owns what used to live in its bench/*.cpp binary — the
-// FigureSpec (or bespoke table body) and the paper shape checks — so a
-// per-figure binary is now a five-line shim over shim_main(), and the
-// afs_sweep driver can run any subset of experiments in one process,
-// sharing one worker pool and one content-addressed result store
+// Each entry owns its FigureSpec (or bespoke table body) and the paper
+// shape checks, so the afs_sweep driver — the one entry point, `afs_sweep
+// run <id>` — can run any subset of experiments in one process, sharing
+// one worker pool and one content-addressed result store
 // (docs/SWEEP_SERVICE.md).
 #pragma once
 
@@ -89,10 +89,9 @@ int run_experiment(const Experiment& e, const ExperimentContext& ctx,
 
 /// Packages a lazily-built FigureSpec + shape checks as an Experiment.
 /// The run function applies the shared CLI to the spec (procs override,
-/// out-dir, sim-option toggles, per-cell tracing), wires in the context's
+/// out-dir, --time-phases, per-cell tracing), wires in the context's
 /// store and pool, checkpoints under <out-dir>/.sweep/<id>, and reports
-/// shapes only on a complete grid — exactly the contract the standalone
-/// binaries have always had.
+/// shapes only on a complete grid.
 Experiment figure_experiment(
     std::string id, std::string title, std::function<FigureSpec()> make_spec,
     std::function<bool(const FigureResult&, std::ostream&)> shapes);

@@ -33,6 +33,11 @@ enum class Interconnect {
   kRing,    ///< Shared ring; serializes like a bus but with its own bandwidth (KSR-1).
 };
 
+/// The most processors any machine may have: the paper's largest machine
+/// (the 64-processor KSR-1) and the width of the coherence directory's
+/// 64-bit sharer mask.
+inline constexpr int kMaxProcessors = 64;
+
 struct MachineConfig {
   std::string name;
   int max_processors = 1;

@@ -12,9 +12,10 @@ bool finite_nonneg(double v) { return std::isfinite(v) && v >= 0.0; }
 }  // namespace
 
 void MachineConfig::validate() const {
-  AFS_CHECK_MSG(max_processors >= 1 && max_processors <= 64,
-                "MachineConfig.max_processors must be in [1, 64] (got "
-                    << max_processors << " for machine '" << name << "')");
+  AFS_CHECK_MSG(max_processors >= 1 && max_processors <= kMaxProcessors,
+                "MachineConfig.max_processors must be in [1, "
+                    << kMaxProcessors << "] (got " << max_processors
+                    << " for machine '" << name << "')");
   AFS_CHECK_MSG(std::isfinite(work_unit_time) && work_unit_time > 0.0,
                 "MachineConfig.work_unit_time must be positive (got "
                     << work_unit_time << " for machine '" << name << "')");

@@ -18,13 +18,11 @@
 // tag, exclusivity hint, MRU successor) live in a 16-byte hot record so
 // the MRU-2 probe in access_hit_state touches one cache line, while the
 // relink/evict-only fields (LRU predecessor, block size) sit in a cold
-// array the hit path never loads. Build with -DAFS_CACHE_AOS=ON to
-// restore the legacy array-of-structs layout — layout carries no
-// semantics, so the two builds are a bit-identical A/B pair. Each line's
-// exclusivity hint (excl == true implies the directory lists this
-// processor as the block's sole sharer) lets MemorySystem's
-// exclusive-residency fast path answer "is this write a coherence
-// no-op?" from the residency probe alone, without a directory lookup.
+// array the hit path never loads. Each line's exclusivity hint (excl ==
+// true implies the directory lists this processor as the block's sole
+// sharer) lets MemorySystem's exclusive-residency fast path answer "is
+// this write a coherence no-op?" from the residency probe alone, without
+// a directory lookup.
 // Determinism note: no behavior may depend on hash-table or allocator
 // order — eviction order comes from the LRU chain, and invalidation order
 // from the processor-id loop in MemorySystem.
@@ -229,34 +227,6 @@ class ProcCache {
  private:
   static constexpr std::int32_t kNil = -1;
 
-#if defined(AFS_CACHE_AOS)
-  /// Legacy array-of-structs layout (the -DAFS_CACHE_AOS=ON A/B
-  /// reference): one 32-byte record per line.
-  struct Line {
-    std::int64_t block = 0;
-    double size = 0.0;
-    std::int32_t prev = kNil;
-    std::int32_t next = kNil;
-    bool excl = false;  ///< directory lists this proc as the sole sharer
-  };
-
-  std::int64_t& line_block(std::int32_t s) { return lines_[idx(s)].block; }
-  std::int64_t line_block(std::int32_t s) const { return lines_[idx(s)].block; }
-  double& line_size(std::int32_t s) { return lines_[idx(s)].size; }
-  double line_size(std::int32_t s) const { return lines_[idx(s)].size; }
-  std::int32_t& line_prev(std::int32_t s) { return lines_[idx(s)].prev; }
-  std::int32_t line_prev(std::int32_t s) const { return lines_[idx(s)].prev; }
-  std::int32_t& line_next(std::int32_t s) { return lines_[idx(s)].next; }
-  std::int32_t line_next(std::int32_t s) const { return lines_[idx(s)].next; }
-  bool& line_excl(std::int32_t s) { return lines_[idx(s)].excl; }
-  bool line_excl(std::int32_t s) const { return lines_[idx(s)].excl; }
-
-  std::size_t pool_size() const { return lines_.size(); }
-  void grow_pool() { lines_.emplace_back(); }
-  void clear_slots() { lines_.clear(); }
-
-  std::vector<Line> lines_;  // slot pool; free slots tracked in free_
-#else
   /// SoA slot pool: the residency probe's working set (tag, MRU
   /// successor, exclusivity hint) packs into 16 bytes per line; the
   /// relink/evict-only fields live apart so the hit path never loads them.
@@ -294,7 +264,6 @@ class ProcCache {
 
   std::vector<LineHot> hot_;    // slot pool, probe-path fields
   std::vector<LineCold> cold_;  // slot pool, relink/evict-only fields
-#endif
 
   static std::size_t idx(std::int32_t s) { return static_cast<std::size_t>(s); }
 

@@ -20,22 +20,12 @@ inline double dsec(Clock::time_point a, Clock::time_point b) {
 }  // namespace
 
 void SimOptions::validate(const MachineConfig& config) const {
-  AFS_CHECK_MSG(start_delays.empty() || perturb.start_delays.empty(),
-                "SimOptions.start_delays and "
-                "SimOptions.perturb.start_delays are both set; use one");
   perturb.validate(config.max_processors);
 }
 
 MachineSim::MachineSim(MachineConfig config, SimOptions options)
     : config_(std::move(config)), options_(std::move(options)) {
   config_.validate();
-  // Legacy Table 2 shim: fold SimOptions::start_delays into the
-  // perturbation config so there is exactly one delay mechanism inside
-  // the engine.
-  if (!options_.start_delays.empty() && options_.perturb.start_delays.empty()) {
-    options_.perturb.start_delays = options_.start_delays;
-    options_.start_delays.clear();
-  }
   options_.validate(config_);
 }
 

@@ -12,9 +12,9 @@
 //   SyncModel    (sync_model.hpp)    queue-lock and victim-probe costing
 //                                    per GrabKind;
 //   MetricsSink  (metrics.hpp)       the accumulator producing SimResult,
-//                                    plus opt-in trace sinks
-//                                    (trace_sink.hpp) — zero-cost when
-//                                    disabled.
+//                                    plus an opt-in trace sink
+//                                    (trace/binary_sink.hpp) — zero-cost
+//                                    when disabled.
 //
 // One run is one fork/join execution: per epoch, every processor
 // repeatedly asks the scheduler for a chunk, pays the modeled
@@ -54,15 +54,10 @@ struct SimOptions {
   /// MachineConfig::epoch_jitter).
   std::uint64_t jitter_seed = 42;
 
-  /// Compatibility shim for the Table 2 arrival-time experiment: per-
-  /// processor start delays for the first loop of the first epoch. Folded
-  /// into `perturb.start_delays` at construction; setting both is an
-  /// error. Prefer PerturbationConfig directly.
-  std::vector<double> start_delays;
-
-  /// Deterministic fault injection (start delays, transient stalls,
-  /// processor loss, memory spikes, contention bursts). Default: all off,
-  /// with results bit-identical to an engine without the subsystem. See
+  /// Deterministic fault injection (start delays for the Table 2
+  /// arrival-time experiment, transient stalls, processor loss, memory
+  /// spikes, contention bursts). Default: all off, with results
+  /// bit-identical to an engine without the subsystem. See
   /// sim/perturbation.hpp.
   PerturbationConfig perturb;
 
@@ -110,8 +105,9 @@ struct SimOptions {
   bool time_phases = false;
 
   /// Optional trace observer (not owned; must outlive the simulator).
-  /// Every simulated event is narrated into it — see trace_sink.hpp for
-  /// the standard JSONL implementation. Null: tracing disabled, no cost.
+  /// Every simulated event is narrated into it — see
+  /// trace/binary_sink.hpp for the .cctrace writer. Null: tracing
+  /// disabled, no cost.
   MetricsSink* trace = nullptr;
 
   /// Optional cooperative cancellation token (not owned; must outlive the
@@ -123,7 +119,7 @@ struct SimOptions {
 
   /// Throws CheckFailure (naming the offending field and value) when any
   /// option is inconsistent with itself or with `config`. Called by the
-  /// MachineSim constructor after the start_delays shim is folded in.
+  /// MachineSim constructor.
   void validate(const MachineConfig& config) const;
 };
 

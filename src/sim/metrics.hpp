@@ -8,8 +8,8 @@
 //    costs nothing over the pre-layered engine, and (crucially) performs
 //    the *same additions in the same order*, preserving bit-identical
 //    results.
-//  * Trace sinks (see trace_sink.hpp) are opt-in observers attached via
-//    SimOptions::trace. When none is attached the fan-out is a single
+//  * Trace sinks (the .cctrace writer is trace/binary_sink.hpp) are
+//    opt-in observers attached via SimOptions::trace. When none is attached the fan-out is a single
 //    predicted-not-taken null check per event: tracing is zero-cost when
 //    disabled.
 //

@@ -9,15 +9,53 @@
 namespace afs {
 namespace {
 
-// Affinity accounting materializes one int per iteration; cap it so a
-// pathological trace with a multi-billion-iteration loop degrades to
-// "no score" instead of exhausting memory.
-constexpr std::int64_t kMaxAffinityN = std::int64_t{1} << 26;
+/// Adds `v` to `acc`, rejecting (as a malformed trace) a sum that would
+/// overflow: every count here is summed from decoded, untrusted fields.
+void add_checked(std::int64_t& acc, std::int64_t v) {
+  if (__builtin_add_overflow(acc, v, &acc))
+    throw std::runtime_error("trace iteration counts overflow");
+}
+
+/// The iteration count of a grab or chunk record's [begin, end) range.
+std::int64_t span_of(const TraceRecord& r) {
+  if (r.begin < 0 || r.end < r.begin)
+    throw std::runtime_error("trace " + std::string(to_string(r.ev)) +
+                             " has an invalid range [" +
+                             std::to_string(r.begin) + ", " +
+                             std::to_string(r.end) + ")");
+  return r.end - r.begin;
+}
+
+/// One chunk's iterations, clipped to its loop, and who executed them.
+struct OwnedSpan {
+  std::int64_t begin;
+  std::int64_t end;
+  int proc;
+};
+
+/// Scores `s` against the previous epoch's spans (sorted by begin, and
+/// disjoint in any trace the simulator writes): its iterations that the
+/// previous epoch also executed are scored, and those the same processor
+/// executed are affine.
+void score_span(const std::vector<OwnedSpan>& prev, const OwnedSpan& s,
+                TraceAnalysis& run) {
+  auto it = std::upper_bound(
+      prev.begin(), prev.end(), s.begin,
+      [](std::int64_t b, const OwnedSpan& o) { return b < o.begin; });
+  if (it != prev.begin()) --it;  // the span that may straddle s.begin
+  for (; it != prev.end() && it->begin < s.end; ++it) {
+    const std::int64_t overlap =
+        std::min(it->end, s.end) - std::max(it->begin, s.begin);
+    if (overlap <= 0) continue;
+    add_checked(run.scored_iterations, overlap);
+    if (it->proc == s.proc) add_checked(run.affine_iterations, overlap);
+  }
+}
 
 std::int64_t matrix_sum(const std::vector<std::vector<std::int64_t>>& m) {
   std::int64_t total = 0;
   for (const auto& row : m)
-    for (std::int64_t v : row) total += v;
+    for (std::int64_t v : row) add_checked(total, v);
   return total;
 }
 
@@ -49,11 +87,13 @@ std::vector<TraceAnalysis> analyze_trace(
 
   bool in_run = false;
   TraceAnalysis run;
-  // Iteration -> executing processor, for the previous and current epoch.
-  // -1 marks "not executed" (or affinity accounting disabled by the cap).
-  std::vector<int> prev_owner;
-  std::vector<int> cur_owner;
-  bool affinity_enabled = true;
+  // Who executed which iterations, for the affinity score: the previous
+  // epoch's chunk spans sorted by begin, the current epoch's in record
+  // order. Memory follows the trace's chunk records, never the loop
+  // sizes its loop_begin records announce.
+  std::vector<OwnedSpan> prev_spans;
+  std::vector<OwnedSpan> cur_spans;
+  std::int64_t cur_n = 0;  // size of the current loop
 
   const auto require_run = [&](const TraceRecord& r) {
     if (!in_run)
@@ -85,9 +125,9 @@ std::vector<TraceAnalysis> analyze_trace(
           run.procs.size(),
           std::vector<std::int64_t>(run.procs.size(), 0));
       run.fault_steal_iters = run.steal_iters;
-      prev_owner.clear();
-      cur_owner.clear();
-      affinity_enabled = true;
+      prev_spans.clear();
+      cur_spans.clear();
+      cur_n = 0;
       ++run.records;
       continue;
     }
@@ -96,14 +136,18 @@ std::vector<TraceAnalysis> analyze_trace(
 
     switch (r.ev) {
       case TraceEv::kLoopBegin: {
+        if (r.n < 0)
+          throw std::runtime_error("trace loop_begin announces " +
+                                   std::to_string(r.n) + " iterations");
         ++run.epochs;
-        run.total_iterations += r.n;
-        prev_owner.swap(cur_owner);
-        if (r.n > kMaxAffinityN) affinity_enabled = false;
-        if (affinity_enabled)
-          cur_owner.assign(static_cast<std::size_t>(r.n), -1);
-        else
-          cur_owner.clear();
+        add_checked(run.total_iterations, r.n);
+        prev_spans.swap(cur_spans);
+        std::sort(prev_spans.begin(), prev_spans.end(),
+                  [](const OwnedSpan& a, const OwnedSpan& b) {
+                    return a.begin < b.begin;
+                  });
+        cur_spans.clear();
+        cur_n = r.n;
         break;
       }
       case TraceEv::kGrab: {
@@ -111,29 +155,22 @@ std::vector<TraceAnalysis> analyze_trace(
         pb.sync += r.t1 - r.t0;
         if (r.kind == GrabKind::kRemote && r.queue >= 0 &&
             r.queue < static_cast<int>(run.procs.size()))
-          run.steal_iters[static_cast<std::size_t>(r.proc)]
-                         [static_cast<std::size_t>(r.queue)] +=
-              r.end - r.begin;
+          add_checked(run.steal_iters[static_cast<std::size_t>(r.proc)]
+                                     [static_cast<std::size_t>(r.queue)],
+                      span_of(r));
         break;
       }
       case TraceEv::kChunk: {
         ProcBreakdown& pb = proc_of(r.proc);
+        const std::int64_t iters = span_of(r);
         pb.exec += r.t1 - r.t0;
-        pb.iterations += r.end - r.begin;
+        add_checked(pb.iterations, iters);
         ++pb.chunks;
-        run.executed_iterations += r.end - r.begin;
-        if (affinity_enabled) {
-          const auto lo = static_cast<std::size_t>(std::max<std::int64_t>(
-              r.begin, 0));
-          const auto hi = static_cast<std::size_t>(std::min<std::int64_t>(
-              r.end, static_cast<std::int64_t>(cur_owner.size())));
-          for (std::size_t i = lo; i < hi; ++i) {
-            cur_owner[i] = r.proc;
-            if (i < prev_owner.size() && prev_owner[i] >= 0) {
-              ++run.scored_iterations;
-              if (prev_owner[i] == r.proc) ++run.affine_iterations;
-            }
-          }
+        add_checked(run.executed_iterations, iters);
+        const OwnedSpan s{r.begin, std::min(r.end, cur_n), r.proc};
+        if (s.begin < s.end) {
+          score_span(prev_spans, s, run);
+          cur_spans.push_back(s);
         }
         break;
       }
@@ -147,11 +184,12 @@ std::vector<TraceAnalysis> analyze_trace(
       case TraceEv::kFaultSteal:
         if (r.proc >= 0 && r.proc < static_cast<int>(run.procs.size()) &&
             r.queue >= 0 && r.queue < static_cast<int>(run.procs.size()))
-          run.fault_steal_iters[static_cast<std::size_t>(r.proc)]
-                               [static_cast<std::size_t>(r.queue)] += r.n;
+          add_checked(run.fault_steal_iters[static_cast<std::size_t>(r.proc)]
+                                           [static_cast<std::size_t>(r.queue)],
+                      r.n);
         break;
       case TraceEv::kAbandoned:
-        run.abandoned_iterations += r.n;
+        add_checked(run.abandoned_iterations, r.n);
         break;
       case TraceEv::kRunEnd: {
         run.makespan = r.t0;

@@ -9,7 +9,7 @@
 //
 // The conservation law narrated + abandoned == sum of loop sizes is the
 // same invariant MetricsAccumulator enforces; checking it here through
-// the reader exercises both encodings end to end.
+// the reader exercises the .cctrace writer and decoder end to end.
 #pragma once
 
 #include <cstdint>
@@ -87,9 +87,12 @@ struct TraceAnalysis {
 
 /// Analyzes a record sequence, returning one TraceAnalysis per run
 /// (a file normally holds a single run_begin..run_end span, but the
-/// sinks allow several back to back). Throws std::runtime_error on
-/// sequences that violate the schema (events outside a run, chunk
-/// before loop_begin, missing run_end).
+/// sink allows several back to back). Memory is proportional to the
+/// records, whatever sizes they claim. Throws std::runtime_error on
+/// sequences that violate the schema (events outside a run, an
+/// out-of-range processor, a negative loop size or an inverted
+/// [begin, end) range, missing run_end) or whose iteration counts
+/// overflow.
 std::vector<TraceAnalysis> analyze_trace(
     const std::vector<TraceRecord>& records);
 

@@ -1,8 +1,12 @@
-// BinaryTraceSink: the compact .cctrace encoding of the simulator's
-// event stream — a drop-in alternative to JsonlTraceSink carrying the
-// exact same record semantics (TraceReader decodes both formats into
-// identical TraceRecord sequences; tests/trace/trace_equivalence_test.cpp
-// asserts this property).
+// BinaryTraceSink: an opt-in MetricsSink that streams a per-processor
+// timeline of one (or more) simulator runs as a compact .cctrace file —
+// the repo's one trace format. TraceReader (trace/trace_reader.hpp)
+// decodes it back into TraceRecords, and `trace_report --jsonl` prints
+// those as one JSON object per line for grep and jq.
+//
+// Volume is proportional to scheduling decisions and misses, not
+// iterations: the per-iteration on_work/on_hit micro-events are
+// intentionally not serialized (their aggregates are in SimResult).
 //
 // Format (version 1; full spec in docs/SIMULATOR.md, "Binary trace
 // format"):
@@ -21,7 +25,8 @@
 //                Simulated time advances smoothly, so consecutive bit
 //                patterns share sign/exponent/upper-mantissa bits and the
 //                XOR is a small integer — typically 3-6 bytes instead of
-//                the ~18 characters JSONL spends, and exactly lossless;
+//                the ~18 characters a decimal rendering spends, and
+//                exactly lossless;
 //   * value    — same XOR-chain scheme with a second register, used for
 //                the non-monotone doubles (miss sizes, barrier costs),
 //                which repeat heavily (XOR = 0 encodes in one byte).
@@ -32,9 +37,12 @@
 // the first run. All state (intern table, XOR registers) persists across
 // runs within one file.
 //
-// File output streams to `<path>.tmp` and is published atomically by
-// finalize() via the shared fsync+rename protocol, exactly like the JSONL
-// sink; abandon() discards the temp file instead.
+// File output is crash-safe: records go to `<path>.tmp`, and the final
+// name appears only when finalize() commits it (fsync + rename). The
+// sweep harness writes one sink per (scheduler, P) cell — finalize() on
+// success, abandon() on failure — so parallel cells never interleave
+// records, a crashed cell never publishes a partial trace, and a resumed
+// sweep never truncates a completed one.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +51,12 @@
 #include <ostream>
 #include <string>
 
-#include "sim/trace_sink.hpp"
+#include "sim/metrics.hpp"
 #include "trace/trace_record.hpp"
 
 namespace afs {
 
-class BinaryTraceSink final : public FileTraceSink {
+class BinaryTraceSink final : public MetricsSink {
  public:
   /// Magic + version prefix: "CCTR", version byte, three reserved zeros.
   static constexpr unsigned char kMagic[8] = {'C', 'C', 'T', 'R',
@@ -63,8 +71,17 @@ class BinaryTraceSink final : public FileTraceSink {
   /// opened; parent directories are not created.
   explicit BinaryTraceSink(const std::string& path);
 
-  void finalize() override;
-  void abandon() override;
+  /// Flushes; in path mode also fsyncs and renames the temp file onto
+  /// the final path. Idempotent; called by the destructor if not already
+  /// (the destructor swallows publication errors — call explicitly to
+  /// see them).
+  void finalize();
+
+  /// Path mode only: closes and unlinks the temp file; the final path is
+  /// never created (or, on a re-run, keeps its previous complete
+  /// contents). Idempotent; finalize() afterwards is a no-op. Never
+  /// throws (failure cleanup must be safe in catch blocks).
+  void abandon();
 
   ~BinaryTraceSink() override;
 

@@ -1,12 +1,14 @@
 #include "trace/trace_reader.hpp"
 
-#include "trace/binary_sink.hpp"
-
-#include <cerrno>
-#include <cstdlib>
+#include <climits>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+
+#include "machines/machine_config.hpp"
+#include "trace/binary_sink.hpp"
 
 namespace afs {
 namespace {
@@ -16,129 +18,73 @@ std::uint64_t u64_of_bits(std::uint64_t b, double& out) {
   return b;
 }
 
-bool grab_kind_of(const std::string& s, GrabKind& out) {
-  if (s == "none") out = GrabKind::kNone;
-  else if (s == "central") out = GrabKind::kCentral;
-  else if (s == "local") out = GrabKind::kLocal;
-  else if (s == "remote") out = GrabKind::kRemote;
-  else if (s == "static") out = GrabKind::kStatic;
-  else return false;
-  return true;
-}
-
-/// One parsed member of a flat JSON object.
-struct JsonField {
-  std::string key;
-  std::string value;  // unescaped string, or the raw number token
-  bool is_string = false;
-};
-
-/// Minimal parser for the flat objects the JSONL sink emits: string keys,
-/// string or number values, no nesting. Returns false on malformed input.
-bool parse_flat_object(const std::string& line, std::vector<JsonField>& out) {
-  out.clear();
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  const auto parse_string = [&](std::string& s) {
-    s.clear();
-    if (i >= line.size() || line[i] != '"') return false;
-    ++i;
-    while (i < line.size() && line[i] != '"') {
-      char c = line[i++];
-      if (c == '\\') {
-        if (i >= line.size()) return false;
-        const char e = line[i++];
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u': {
-            if (i + 4 > line.size()) return false;
-            unsigned v = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = line[i++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            // The sink only \u-escapes control bytes (< 0x20).
-            if (v > 0xff) return false;
-            c = static_cast<char>(v);
-            break;
-          }
-          default: return false;
+// JSON string escaping: our identifiers are ASCII, but machine and
+// program names are caller-supplied.
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
         }
-      }
-      s.push_back(c);
     }
-    if (i >= line.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return true;  // empty object
-  for (;;) {
-    JsonField f;
-    skip_ws();
-    if (!parse_string(f.key)) return false;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    skip_ws();
-    if (i < line.size() && line[i] == '"') {
-      f.is_string = true;
-      if (!parse_string(f.value)) return false;
-    } else {
-      const std::size_t start = i;
-      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      f.value = line.substr(start, i - start);
-      while (!f.value.empty() && (f.value.back() == ' ' || f.value.back() == '\t'))
-        f.value.pop_back();
-      if (f.value.empty()) return false;
-    }
-    out.push_back(std::move(f));
-    skip_ws();
-    if (i >= line.size()) return false;
-    if (line[i] == '}') {
-      ++i;
-      skip_ws();
-      return i == line.size();  // no trailing garbage
-    }
-    if (line[i] != ',') return false;
-    ++i;
   }
+  out += '"';
 }
 
-const JsonField* find(const std::vector<JsonField>& fields,
-                      const char* key) {
-  for (const JsonField& f : fields)
-    if (f.key == key) return &f;
-  return nullptr;
-}
+/// Builds one flat JSON object, key by key, in the order fields are added.
+class JsonLine {
+ public:
+  explicit JsonLine(TraceEv ev) { str("ev", to_string(ev)); }
+
+  JsonLine& str(const char* key, std::string_view v) {
+    append_quoted(field(key), v);
+    return *this;
+  }
+  JsonLine& num(const char* key, std::int64_t v) {
+    field(key) += std::to_string(v);
+    return *this;
+  }
+  /// Precision 17: enough digits for every double to parse back exactly.
+  JsonLine& real(const char* key, double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    field(key) += buf;
+    return *this;
+  }
+  std::string finish() { return text_ + '}'; }
+
+ private:
+  std::string& field(const char* key) {
+    text_ += text_.empty() ? "{\"" : ",\"";
+    text_ += key;
+    text_ += "\":";
+    return text_;
+  }
+
+  std::string text_;
+};
 
 }  // namespace
 
 TraceReader::TraceReader(const std::string& path)
     : file_(path, std::ios::binary), in_(&file_), context_(path) {
   if (!file_) throw std::runtime_error("cannot open trace: " + path);
-  sniff();
+  read_header();
 }
 
 TraceReader::TraceReader(std::istream& in) : in_(&in), context_("<stream>") {
-  sniff();
+  read_header();
 }
 
 void TraceReader::fail(const std::string& what) const {
@@ -146,13 +92,8 @@ void TraceReader::fail(const std::string& what) const {
                            std::to_string(records_) + "): " + what);
 }
 
-void TraceReader::sniff() {
-  const int first = in_->peek();
-  if (first == std::istream::traits_type::eof()) fail("empty trace");
-  if (first == '{') {
-    format_ = TraceFormat::kJsonl;
-    return;
-  }
+void TraceReader::read_header() {
+  if (in_->peek() == std::istream::traits_type::eof()) fail("empty trace");
   unsigned char header[sizeof BinaryTraceSink::kMagic];
   in_->read(reinterpret_cast<char*>(header), sizeof header);
   if (static_cast<std::size_t>(in_->gcount()) != sizeof header ||
@@ -160,12 +101,6 @@ void TraceReader::sniff() {
     fail("not a trace: bad magic");
   if (header[4] != BinaryTraceSink::kMagic[4])
     fail("unsupported .cctrace version " + std::to_string(header[4]));
-  format_ = TraceFormat::kBinary;
-}
-
-bool TraceReader::next(TraceRecord& rec) {
-  rec = TraceRecord{};
-  return format_ == TraceFormat::kBinary ? next_binary(rec) : next_jsonl(rec);
 }
 
 std::uint8_t TraceReader::read_u8() {
@@ -206,7 +141,8 @@ double TraceReader::read_value() {
   return out;
 }
 
-bool TraceReader::next_binary(TraceRecord& rec) {
+bool TraceReader::next(TraceRecord& rec) {
+  rec = TraceRecord{};
   for (;;) {
     const int c = in_->get();
     if (c == std::istream::traits_type::eof()) return false;  // clean end
@@ -236,19 +172,37 @@ bool TraceReader::next_binary(TraceRecord& rec) {
     if (id >= strings_.size()) fail("dangling string reference");
     return strings_[static_cast<std::size_t>(id)];
   };
-  const auto read_int = [&] { return static_cast<int>(read_varint()); };
+  const auto read_int = [&] {
+    const std::uint64_t v = read_varint();
+    if (v > static_cast<std::uint64_t>(INT_MAX)) fail("int field above INT_MAX");
+    return static_cast<int>(v);
+  };
+  const auto read_signed_int = [&] {
+    const std::int64_t v = read_svarint();
+    if (v < INT_MIN || v > INT_MAX) fail("int field outside the int range");
+    return static_cast<int>(v);
+  };
+  // A processor count is bounded by the machine cap, which also bounds
+  // what analyze_trace allocates per run (two P x P steal matrices).
+  const auto read_procs = [&] {
+    const int p = read_int();
+    if (p < 1 || p > kMaxProcessors)
+      fail("processor count " + std::to_string(p) + " outside 1.." +
+           std::to_string(kMaxProcessors));
+    return p;
+  };
 
   switch (rec.ev) {
     case TraceEv::kRunBegin:
       rec.machine = string_ref();
       rec.program = string_ref();
       rec.scheduler = string_ref();
-      rec.p = read_int();
+      rec.p = read_procs();
       break;
     case TraceEv::kLoopBegin:
       rec.epoch = read_int();
       rec.n = static_cast<std::int64_t>(read_varint());
-      rec.p = read_int();
+      rec.p = read_procs();
       break;
     case TraceEv::kGrab: {
       rec.proc = read_int();
@@ -256,7 +210,7 @@ bool TraceReader::next_binary(TraceRecord& rec) {
       if (kind > static_cast<std::uint8_t>(GrabKind::kStatic))
         fail("unknown grab kind");
       rec.kind = static_cast<GrabKind>(kind);
-      rec.queue = static_cast<int>(read_svarint());
+      rec.queue = read_signed_int();
       rec.begin = read_svarint();
       rec.end = read_svarint();
       rec.t0 = read_time();
@@ -296,7 +250,7 @@ bool TraceReader::next_binary(TraceRecord& rec) {
       break;
     case TraceEv::kFaultSteal:
       rec.proc = read_int();
-      rec.queue = static_cast<int>(read_svarint());
+      rec.queue = read_signed_int();
       rec.n = static_cast<std::int64_t>(read_varint());
       break;
     case TraceEv::kAbandoned:
@@ -319,129 +273,80 @@ bool TraceReader::next_binary(TraceRecord& rec) {
   return true;
 }
 
-bool TraceReader::next_jsonl(TraceRecord& rec) {
-  std::string line;
-  do {
-    if (!std::getline(*in_, line)) return false;  // clean end
-  } while (line.empty());
-
-  std::vector<JsonField> fields;
-  if (!parse_flat_object(line, fields)) fail("unparsable JSON line: " + line);
-
-  const auto str = [&](const char* key) -> const std::string& {
-    const JsonField* f = find(fields, key);
-    if (!f || !f->is_string) fail(std::string("missing string field ") + key);
-    return f->value;
-  };
-  const auto num = [&](const char* key) {
-    const JsonField* f = find(fields, key);
-    if (!f || f->is_string) fail(std::string("missing number field ") + key);
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(f->value.c_str(), &end);
-    if (end == f->value.c_str() || *end != '\0' || errno == ERANGE)
-      fail(std::string("bad number in field ") + key + ": " + f->value);
-    return v;
-  };
-  const auto integer = [&](const char* key) {
-    const JsonField* f = find(fields, key);
-    if (!f || f->is_string) fail(std::string("missing number field ") + key);
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(f->value.c_str(), &end, 10);
-    if (end == f->value.c_str() || *end != '\0' || errno == ERANGE)
-      fail(std::string("bad integer in field ") + key + ": " + f->value);
-    return static_cast<std::int64_t>(v);
-  };
-
-  const std::string& ev = str("ev");
-  if (ev == "run_begin") {
-    rec.ev = TraceEv::kRunBegin;
-    rec.machine = str("machine");
-    rec.program = str("program");
-    rec.scheduler = str("scheduler");
-    rec.p = static_cast<int>(integer("p"));
-  } else if (ev == "loop_begin") {
-    rec.ev = TraceEv::kLoopBegin;
-    rec.epoch = static_cast<int>(integer("epoch"));
-    rec.n = integer("n");
-    rec.p = static_cast<int>(integer("p"));
-  } else if (ev == "grab") {
-    rec.ev = TraceEv::kGrab;
-    rec.proc = static_cast<int>(integer("proc"));
-    if (!grab_kind_of(str("kind"), rec.kind)) fail("unknown grab kind");
-    rec.queue = static_cast<int>(integer("queue"));
-    rec.begin = integer("begin");
-    rec.end = integer("end");
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "chunk") {
-    rec.ev = TraceEv::kChunk;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.begin = integer("begin");
-    rec.end = integer("end");
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "miss") {
-    rec.ev = TraceEv::kMiss;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.block = integer("block");
-    rec.size = num("size");
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "inval") {
-    rec.ev = TraceEv::kInval;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.block = integer("block");
-    rec.copies = static_cast<int>(integer("copies"));
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "done") {
-    rec.ev = TraceEv::kDone;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.t0 = num("t");
-  } else if (ev == "stall") {
-    rec.ev = TraceEv::kStall;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "lost") {
-    rec.ev = TraceEv::kLost;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.t0 = num("t");
-  } else if (ev == "fault_steal") {
-    rec.ev = TraceEv::kFaultSteal;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.queue = static_cast<int>(integer("queue"));
-    rec.n = integer("iters");
-  } else if (ev == "abandoned") {
-    rec.ev = TraceEv::kAbandoned;
-    rec.n = integer("iters");
-  } else if (ev == "loop_end") {
-    rec.ev = TraceEv::kLoopEnd;
-    rec.epoch = static_cast<int>(integer("epoch"));
-    rec.t0 = num("end");
-  } else if (ev == "barrier") {
-    rec.ev = TraceEv::kBarrier;
-    rec.epoch = static_cast<int>(integer("epoch"));
-    rec.size = num("cost");
-    rec.t0 = num("total");
-  } else if (ev == "run_end") {
-    rec.ev = TraceEv::kRunEnd;
-    rec.t0 = num("makespan");
-  } else {
-    fail("unknown ev \"" + ev + "\"");
-  }
-  ++records_;
-  return true;
-}
-
 std::vector<TraceRecord> read_trace(const std::string& path) {
   TraceReader reader(path);
   std::vector<TraceRecord> out;
   TraceRecord rec;
   while (reader.next(rec)) out.push_back(rec);
   return out;
+}
+
+std::string trace_json(const TraceRecord& r) {
+  JsonLine j(r.ev);
+  switch (r.ev) {
+    case TraceEv::kRunBegin:
+      j.str("machine", r.machine)
+          .str("program", r.program)
+          .str("scheduler", r.scheduler)
+          .num("p", r.p);
+      break;
+    case TraceEv::kLoopBegin:
+      j.num("epoch", r.epoch).num("n", r.n).num("p", r.p);
+      break;
+    case TraceEv::kGrab:
+      j.num("proc", r.proc)
+          .str("kind", to_string(r.kind))
+          .num("queue", r.queue)
+          .num("begin", r.begin)
+          .num("end", r.end)
+          .real("t0", r.t0)
+          .real("t1", r.t1);
+      break;
+    case TraceEv::kChunk:
+      j.num("proc", r.proc)
+          .num("begin", r.begin)
+          .num("end", r.end)
+          .real("t0", r.t0)
+          .real("t1", r.t1);
+      break;
+    case TraceEv::kMiss:
+      j.num("proc", r.proc)
+          .num("block", r.block)
+          .real("size", r.size)
+          .real("t0", r.t0)
+          .real("t1", r.t1);
+      break;
+    case TraceEv::kInval:
+      j.num("proc", r.proc)
+          .num("block", r.block)
+          .num("copies", r.copies)
+          .real("t0", r.t0)
+          .real("t1", r.t1);
+      break;
+    case TraceEv::kDone:
+    case TraceEv::kLost:
+      j.num("proc", r.proc).real("t", r.t0);
+      break;
+    case TraceEv::kStall:
+      j.num("proc", r.proc).real("t0", r.t0).real("t1", r.t1);
+      break;
+    case TraceEv::kFaultSteal:
+      j.num("proc", r.proc).num("queue", r.queue).num("iters", r.n);
+      break;
+    case TraceEv::kAbandoned:
+      j.num("iters", r.n);
+      break;
+    case TraceEv::kLoopEnd:
+      j.num("epoch", r.epoch).real("end", r.t0);
+      break;
+    case TraceEv::kBarrier:
+      j.num("epoch", r.epoch).real("cost", r.size).real("total", r.t0);
+      break;
+    case TraceEv::kRunEnd:
+      j.real("makespan", r.t0);
+      break;
+  }
+  return j.finish();
 }
 
 }  // namespace afs

@@ -1,18 +1,15 @@
-// TraceReader: one decoding API over both trace encodings.
+// TraceReader: decodes a .cctrace file (trace/binary_sink.hpp) back into
+// TraceRecords.
 //
-// Opens a trace file (or istream), sniffs the format from the first
-// bytes — the .cctrace magic "CCTR" versus a JSONL '{' — and iterates
-// TraceRecords until end of stream. Both sinks serialize the exact same
-// event sequence, and both decoders here reconstruct every double
-// losslessly (JSONL prints precision-17 decimals, the binary format
-// stores bit patterns), so the two decodings of one run compare equal
-// record-for-record — the property tests/trace/trace_equivalence_test.cpp
-// enforces.
+// Opens a trace file (or istream), checks the "CCTR" magic and version,
+// and iterates TraceRecords until end of stream. Doubles come back
+// bit-exact (the format stores bit patterns). trace_json() renders a
+// record as the one-line JSON object `trace_report --jsonl` prints.
 //
-// Malformed input (bad magic, unknown opcode/ev, truncated record,
-// dangling string reference, unparsable JSON field) throws
-// std::runtime_error with the offending record index; a clean EOF at a
-// record boundary ends iteration normally.
+// Malformed input (bad magic, unknown opcode, truncated record, dangling
+// string reference, an int field above INT_MAX, a processor count
+// outside 1..64) throws std::runtime_error with the offending record
+// index; a clean EOF at a record boundary ends iteration normally.
 #pragma once
 
 #include <cstdint>
@@ -27,25 +24,21 @@ namespace afs {
 
 class TraceReader {
  public:
-  /// Opens `path` and sniffs the format. Throws std::runtime_error when
-  /// the file cannot be opened or starts with neither format's prefix.
+  /// Opens `path` and checks the header. Throws std::runtime_error when
+  /// the file cannot be opened or is not a .cctrace.
   explicit TraceReader(const std::string& path);
 
-  /// Reads from `in` (not owned; must outlive the reader). Sniffs the
-  /// format from the stream's first bytes.
+  /// Reads from `in` (not owned; must outlive the reader).
   explicit TraceReader(std::istream& in);
 
   /// Decodes the next record into `rec`. Returns false at a clean end of
   /// stream; throws on malformed input.
   bool next(TraceRecord& rec);
 
-  TraceFormat format() const { return format_; }
   std::int64_t records_read() const { return records_; }
 
  private:
-  void sniff();
-  bool next_binary(TraceRecord& rec);
-  bool next_jsonl(TraceRecord& rec);
+  void read_header();
   [[noreturn]] void fail(const std::string& what) const;
 
   std::uint8_t read_u8();
@@ -56,8 +49,7 @@ class TraceReader {
 
   std::ifstream file_;  // used by the path constructor
   std::istream* in_;    // always valid
-  TraceFormat format_ = TraceFormat::kNone;
-  std::vector<std::string> strings_;  // binary intern table
+  std::vector<std::string> strings_;  // intern table
   std::uint64_t prev_time_bits_ = 0;
   std::uint64_t prev_value_bits_ = 0;
   std::int64_t records_ = 0;
@@ -66,5 +58,11 @@ class TraceReader {
 
 /// Convenience: decodes the whole file into a vector.
 std::vector<TraceRecord> read_trace(const std::string& path);
+
+/// `rec` as one line of JSON (no trailing newline) in the schema of
+/// docs/SIMULATOR.md, "Trace schema": an "ev" discriminator, then the
+/// event's fields, doubles printed at precision 17 so they parse back
+/// bit-exact.
+std::string trace_json(const TraceRecord& rec);
 
 }  // namespace afs

@@ -1,13 +1,11 @@
 // The trace subsystem's shared record model.
 //
-// A simulator trace — whatever its on-disk encoding — is a sequence of
-// TraceRecords, one per narrated MetricsSink event. The two sinks
-// (JsonlTraceSink in sim/trace_sink.hpp, BinaryTraceSink in
-// trace/binary_sink.hpp) serialize the *same* event sequence; TraceReader
-// (trace/trace_reader.hpp) decodes either file back into TraceRecords, so
-// every consumer (analysis, the Gantt renderer, trace_report) is
-// format-agnostic and the JSONL↔binary equivalence property is testable
-// as plain record-sequence equality.
+// A simulator trace is a sequence of TraceRecords, one per narrated
+// MetricsSink event. BinaryTraceSink (trace/binary_sink.hpp) writes them
+// as a compact .cctrace file; TraceReader (trace/trace_reader.hpp)
+// decodes the file back into TraceRecords, so every consumer (analysis,
+// the Gantt renderer, trace_report and its --jsonl dump) works on the
+// same decoded records.
 #pragma once
 
 #include <cstdint>
@@ -17,27 +15,14 @@
 
 namespace afs {
 
-/// On-disk trace encodings the bench harness can emit (--trace-format).
-enum class TraceFormat : std::uint8_t {
-  kNone,    ///< tracing disabled
-  kJsonl,   ///< JSON Lines, one object per event (docs/SIMULATOR.md)
-  kBinary,  ///< compact .cctrace (delta-encoded, string-interned)
-};
-
-/// File extension per format: ".trace.jsonl" / ".cctrace".
-inline const char* trace_extension(TraceFormat f) {
-  return f == TraceFormat::kBinary ? ".cctrace" : ".trace.jsonl";
-}
-
-/// Per-cell trace path: `<out_dir>/<id>.p<P>.<sched><ext>` with the
+/// Per-cell trace path: `<out_dir>/<id>.p<P>.<sched>.cctrace` with the
 /// scheduler label sanitized the same way as sweep checkpoints (alnum,
 /// '-', '.'; everything else becomes '_'). One file per (scheduler, P)
 /// sweep cell is what lets --trace compose with --jobs=N: each cell owns
 /// its writer, so parallel cells never interleave records.
 inline std::string trace_cell_path(const std::string& out_dir,
                                    const std::string& id,
-                                   const std::string& label, int procs,
-                                   TraceFormat format) {
+                                   const std::string& label, int procs) {
   std::string safe;
   safe.reserve(label.size());
   for (char c : label)
@@ -46,7 +31,7 @@ inline std::string trace_cell_path(const std::string& out_dir,
                 ? c
                 : '_';
   return out_dir + "/" + id + ".p" + std::to_string(procs) + "." + safe +
-         trace_extension(format);
+         ".cctrace";
 }
 
 /// Event discriminator. Values are also the binary opcodes (opcode 0 is
@@ -91,8 +76,9 @@ constexpr const char* to_string(TraceEv ev) {
 
 /// One decoded trace event. Only the fields of the event's type are
 /// meaningful; every other field keeps its default, so whole-record
-/// equality (used by the equivalence tests) is well defined across
-/// readers. Field mapping per event (matching the JSONL schema):
+/// equality (used by the round-trip tests) is well defined. Field
+/// mapping per event (the JSON keys trace_report --jsonl prints are in
+/// docs/SIMULATOR.md, "Trace schema"):
 ///
 ///   run_begin   machine, program, scheduler, p
 ///   loop_begin  epoch, n, p

@@ -1,6 +1,6 @@
 // Minimal ASCII table / CSV rendering for bench output.
 //
-// Every reproduction binary prints the paper's rows with this formatter
+// Every reproduction experiment prints the paper's rows with this formatter
 // and mirrors them to CSV so EXPERIMENTS.md can be regenerated.
 #pragma once
 

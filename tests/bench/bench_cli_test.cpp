@@ -1,5 +1,5 @@
-// Tests for the shared bench CLI parser (experiments/bench_cli.hpp). The
-// reproduction binaries must fail loudly on any typo rather than silently
+// Tests for the `afs_sweep run` CLI parser (experiments/bench_cli.hpp). A
+// reproduction run must fail loudly on any typo rather than silently
 // falling back to a multi-minute default sweep, so parse_cli_args rejects
 // unknown flags and malformed values with a message naming the culprit.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "experiments/bench_cli.hpp"
+#include "trace/trace_record.hpp"
 
 namespace afs::bench {
 namespace {
@@ -156,18 +157,13 @@ TEST(BenchCli, DefaultsLeaveEngineTogglesAlone) {
   const Parse p = parse({});
   ASSERT_TRUE(p.ok);
   EXPECT_FALSE(p.cli.time_phases);
-  EXPECT_FALSE(p.cli.no_batch);
-  EXPECT_FALSE(p.cli.no_memory_fast_path);
   EXPECT_EQ(p.cli.cell_retries, -1);  // -1 = keep SweepOptions default
 }
 
 TEST(BenchCli, ParsesEngineToggles) {
-  const Parse p =
-      parse({"--time-phases", "--no-batch", "--no-memory-fast-path"});
+  const Parse p = parse({"--time-phases"});
   ASSERT_TRUE(p.ok);
   EXPECT_TRUE(p.cli.time_phases);
-  EXPECT_TRUE(p.cli.no_batch);
-  EXPECT_TRUE(p.cli.no_memory_fast_path);
 }
 
 TEST(BenchCli, ParsesCellRetries) {
@@ -195,38 +191,13 @@ TEST(BenchCli, TraceComposesWithParallelJobs) {
   ASSERT_TRUE(p.ok) << p.error;
   EXPECT_TRUE(p.cli.trace);
   EXPECT_EQ(p.cli.jobs, 4);
-  EXPECT_EQ(p.cli.trace_format, TraceFormat::kJsonl);
-}
-
-TEST(BenchCli, ParsesTraceFormat) {
-  EXPECT_EQ(parse({"--trace", "--trace-format=binary"}).cli.trace_format,
-            TraceFormat::kBinary);
-  EXPECT_EQ(parse({"--trace-format=jsonl"}).cli.trace_format,
-            TraceFormat::kJsonl);
-  // Choosing an encoding is asking for a trace.
-  const Parse p = parse({"--trace-format=binary"});
-  ASSERT_TRUE(p.ok);
-  EXPECT_TRUE(p.cli.trace);
-  EXPECT_EQ(p.cli.trace_format, TraceFormat::kBinary);
-}
-
-TEST(BenchCli, RejectsMalformedTraceFormat) {
-  for (const char* bad :
-       {"--trace-format=", "--trace-format=csv", "--trace-format=BINARY"}) {
-    const Parse p = parse({bad});
-    EXPECT_FALSE(p.ok) << bad;
-    EXPECT_NE(p.error.find("--trace-format"), std::string::npos)
-        << bad << " -> " << p.error;
-  }
 }
 
 TEST(BenchCli, TraceCellPathSanitizesLabel) {
-  EXPECT_EQ(trace_cell_path("/tmp/out", "fig15", "CHUNK(8)", 4,
-                            TraceFormat::kBinary),
+  EXPECT_EQ(trace_cell_path("/tmp/out", "fig15", "CHUNK(8)", 4),
             "/tmp/out/fig15.p4.CHUNK_8_.cctrace");
-  EXPECT_EQ(
-      trace_cell_path("out", "fig04", "AFS", 57, TraceFormat::kJsonl),
-      "out/fig04.p57.AFS.trace.jsonl");
+  EXPECT_EQ(trace_cell_path("out", "fig04", "AFS", 57),
+            "out/fig04.p57.AFS.cctrace");
 }
 
 TEST(BenchCli, DefaultsLeaveStoreOff) {

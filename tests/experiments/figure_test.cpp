@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "experiments/expectations.hpp"
 #include "kernels/synthetic.hpp"
@@ -12,9 +13,20 @@
 namespace afs {
 namespace {
 
+/// Each test writes under its own directory: ctest runs the tests as
+/// concurrent processes, and two processes publishing one
+/// <out_dir>/figtest.csv race on its shared temp file.
+std::string test_out_dir() {
+  return (std::filesystem::temp_directory_path() /
+          (std::string("afs_figure_test_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+      .string();
+}
+
 FigureSpec tiny_spec() {
   FigureSpec spec;
   spec.id = "figtest";
+  spec.out_dir = test_out_dir();
   spec.title = "tiny sweep";
   spec.machine = iris();
   spec.program = balanced_program(256, 100.0);  // heavy enough to scale
@@ -40,7 +52,7 @@ TEST(Figure, TimesDecreaseWithProcessors) {
 TEST(Figure, WritesCsv) {
   std::ostringstream out;
   (void)run_figure(tiny_spec(), out);
-  EXPECT_TRUE(std::filesystem::exists("bench_results/figtest.csv"));
+  EXPECT_TRUE(std::filesystem::exists(test_out_dir() + "/figtest.csv"));
 }
 
 TEST(Figure, CompletionTableHasRowPerP) {

@@ -23,7 +23,8 @@
 #include "machines/machines.hpp"
 #include "sched/registry.hpp"
 #include "sim/machine_sim.hpp"
-#include "sim/trace_sink.hpp"
+#include "trace/binary_sink.hpp"
+#include "trace/trace_reader.hpp"
 #include "util/check.hpp"
 
 namespace afs {
@@ -137,13 +138,6 @@ TEST(PerturbationConfig, ValidateRejectsBadValues) {
   }
 }
 
-TEST(SimOptions, RejectsBothDelayMechanisms) {
-  SimOptions opts;
-  opts.start_delays = {100.0};
-  opts.perturb.start_delays = {200.0};
-  EXPECT_THROW(MachineSim(quiet(iris()), opts), CheckFailure);
-}
-
 TEST(MachineConfigValidate, RejectsBadConfigs) {
   {
     MachineConfig m = iris();
@@ -165,26 +159,6 @@ TEST(MachineConfigValidate, RejectsBadConfigs) {
   EXPECT_NO_THROW(butterfly1().validate());
   EXPECT_NO_THROW(ksr1().validate());
   EXPECT_NO_THROW(tc2000().validate());
-}
-
-// --------------------------- start-delay shim ----------------------------
-
-TEST(Perturbation, LegacyStartDelaysShimIsBitIdentical) {
-  // The deprecated SimOptions::start_delays path must produce exactly what
-  // routing the same delays through PerturbationConfig produces.
-  const LoopProgram prog = balanced_program(100000);
-  for (const char* spec : {"AFS", "GSS", "STATIC"}) {
-    SimOptions legacy;
-    legacy.start_delays = {12500.0, 0.0, 0.0, 3000.0};
-    MachineSim sim_legacy(quiet(iris()), legacy);
-    auto s1 = make_scheduler(spec);
-    const SimResult a = sim_legacy.run(prog, *s1, 4);
-
-    PerturbationConfig pc;
-    pc.start_delays = {12500.0, 0.0, 0.0, 3000.0};
-    const SimResult b = run_perturbed(quiet(iris()), prog, spec, 4, pc);
-    expect_identical(a, b, spec);
-  }
 }
 
 TEST(Perturbation, StartDelayIsChargedToStallTime) {
@@ -329,9 +303,9 @@ TEST(Perturbation, MidChunkDeathEmitsTruncatedChunkRecord) {
   PerturbationConfig pc;
   pc.losses.push_back({0, 0.3 * plain.makespan});  // lands mid-allotment
 
-  auto traced = [&](bool batch, std::string* text) {
+  auto traced = [&](bool batch, std::string* bytes) {
     std::ostringstream out;
-    JsonlTraceSink sink(out);
+    BinaryTraceSink sink(out);
     SimOptions opts;
     opts.perturb = pc;
     opts.batch_iterations = batch;
@@ -339,7 +313,8 @@ TEST(Perturbation, MidChunkDeathEmitsTruncatedChunkRecord) {
     MachineSim sim(quiet(iris()), opts);
     auto sched = make_scheduler("STATIC");
     const SimResult r = sim.run(prog, *sched, 4);
-    *text = out.str();
+    sink.finalize();
+    *bytes = out.str();
     return r;
   };
 
@@ -358,19 +333,10 @@ TEST(Perturbation, MidChunkDeathEmitsTruncatedChunkRecord) {
   // it the narrated side comes up short by exactly those iterations).
   std::int64_t narrated = 0, total_n = 0;
   std::istringstream in(batched_trace);
-  for (std::string line; std::getline(in, line);) {
-    if (line.find("\"ev\":\"chunk\"") != std::string::npos) {
-      const auto bpos = line.find("\"begin\":");
-      const auto epos = line.find("\"end\":");
-      ASSERT_NE(bpos, std::string::npos) << line;
-      ASSERT_NE(epos, std::string::npos) << line;
-      narrated += std::stoll(line.substr(epos + 6)) -
-                  std::stoll(line.substr(bpos + 8));
-    } else if (line.find("\"ev\":\"loop_begin\"") != std::string::npos) {
-      const auto npos = line.find("\"n\":");
-      ASSERT_NE(npos, std::string::npos) << line;
-      total_n += std::stoll(line.substr(npos + 4));
-    }
+  TraceReader reader(in);
+  for (TraceRecord rec; reader.next(rec);) {
+    if (rec.ev == TraceEv::kChunk) narrated += rec.end - rec.begin;
+    if (rec.ev == TraceEv::kLoopBegin) total_n += rec.n;
   }
   EXPECT_EQ(narrated + a.abandoned_iterations, total_n);
   // SimResult::iterations counts *grabbed* work, so it exceeds the

@@ -81,17 +81,6 @@ TEST(CellKey, EveryInputChangesTheHash) {
   EXPECT_NE(base_key(perturbed).hash, base.hash);
 }
 
-TEST(CellKey, LegacyStartDelayShimFoldsIntoPerturbation) {
-  // SimOptions::start_delays and PerturbationConfig::start_delays are two
-  // spellings of the same experiment (Table 2); they must share a cell.
-  SimOptions legacy;
-  legacy.start_delays = {8.0, 0.0, 0.0, 0.0};
-  SimOptions modern;
-  modern.perturb.start_delays = {8.0, 0.0, 0.0, 0.0};
-  EXPECT_EQ(base_key(legacy).hash, base_key(modern).hash);
-  EXPECT_NE(base_key(legacy).hash, base_key().hash);
-}
-
 TEST(CellKey, UnknownIdentityIsUncacheable) {
   EXPECT_FALSE(make_cell_key(iris(), "", "AFS", 4, {}).cacheable);
   EXPECT_FALSE(

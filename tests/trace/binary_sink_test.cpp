@@ -2,7 +2,7 @@
 // every event type and field bit-exactly (including negative queue
 // indexes, repeated strings, and extreme doubles), publish files
 // atomically, and reject malformed input loudly instead of decoding
-// garbage.
+// garbage — including under a fixed-seed mutation fuzz of real traces.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,10 +13,16 @@
 #include <string>
 #include <vector>
 
+#include "kernels/sor.hpp"
 #include "machines/machine_config.hpp"
+#include "machines/machines.hpp"
+#include "sched/registry.hpp"
+#include "sim/machine_sim.hpp"
+#include "trace/analysis.hpp"
 #include "trace/binary_sink.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_record.hpp"
+#include "util/rng.hpp"
 #include "workload/loop_spec.hpp"
 
 namespace afs {
@@ -206,6 +212,126 @@ TEST(TraceReader, RejectsMalformedInput) {
     TraceRecord rec;
     EXPECT_THROW(r.next(rec), std::runtime_error);
   }
+  // A processor count outside 1..64 in run_begin or loop_begin: a 20-byte
+  // file announcing P=4096 must not make analyze_trace allocate P x P
+  // steal matrices.
+  const auto with_procs = [](TraceEv ev, std::uint64_t p) {
+    std::string bytes("CCTR\x01\x00\x00\x00", 8);
+    bytes += std::string("\x00\x00\x01m", 4);  // string 0 = "m"
+    if (ev == TraceEv::kLoopBegin) {
+      bytes.push_back(static_cast<char>(TraceEv::kRunBegin));
+      bytes += std::string("\x00\x00\x00\x02", 4);  // m, m, m, P=2
+    }
+    bytes.push_back(static_cast<char>(ev));
+    if (ev == TraceEv::kRunBegin)
+      bytes += std::string("\x00\x00\x00", 3);  // machine, program, sched
+    else
+      bytes += std::string("\x00\x0a", 2);  // epoch 0, n = 10
+    for (; p >= 0x80; p >>= 7)
+      bytes.push_back(static_cast<char>((p & 0x7f) | 0x80));
+    bytes.push_back(static_cast<char>(p));
+    return bytes;
+  };
+  for (TraceEv ev : {TraceEv::kRunBegin, TraceEv::kLoopBegin}) {
+    for (std::uint64_t p : {std::uint64_t{0}, std::uint64_t{65},
+                            std::uint64_t{4096}, std::uint64_t{1} << 40}) {
+      std::istringstream in(with_procs(ev, p));
+      TraceReader r(in);
+      TraceRecord rec;
+      if (ev == TraceEv::kLoopBegin) {
+        ASSERT_TRUE(r.next(rec));  // the run_begin before it
+      }
+      try {
+        r.next(rec);
+        ADD_FAILURE() << to_string(ev) << " accepted P=" << p;
+      } catch (const std::runtime_error& e) {
+        // The reader's record-indexed error names the record.
+        EXPECT_NE(std::string(e.what()).find(
+                      "record " +
+                      std::to_string(ev == TraceEv::kLoopBegin ? 1 : 0)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    const std::vector<TraceRecord> ok = decode(with_procs(ev, 64));
+    ASSERT_FALSE(ok.empty());  // the machine cap itself is fine
+    EXPECT_EQ(ok.back().p, 64);
+  }
+  {  // an int field above INT_MAX: a chunk's proc of 2^31
+    std::string bytes("CCTR\x01\x00\x00\x00", 8);
+    bytes.push_back(static_cast<char>(TraceEv::kChunk));
+    bytes += std::string("\x80\x80\x80\x80\x08", 5);  // proc = 2^31
+    bytes += std::string("\x00\x02\x00\x00", 4);  // begin, end, t0, t1
+    std::istringstream in(bytes);
+    TraceReader r(in);
+    TraceRecord rec;
+    EXPECT_THROW(r.next(rec), std::runtime_error);
+  }
+}
+
+/// Decodes and analyzes `bytes`. A mutant may decode or not, but it may
+/// fail only with the reader's or the analysis's std::runtime_error — no
+/// other exception, and (under the sanitizers) no memory error or UB.
+bool decodes_and_analyzes(const std::string& bytes) {
+  try {
+    analyze_trace(decode(bytes));
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+TEST(TraceReader, SurvivesMutatedTraces) {
+  // Two seeds: the synthetic kitchen sink (every event type, hostile
+  // values) and a real SOR/AFS trace (long XOR-chained time fields).
+  std::vector<std::string> seeds;
+  {
+    std::ostringstream out;
+    BinaryTraceSink sink(out);
+    narrate_kitchen_sink(sink);
+    sink.finalize();
+    seeds.push_back(out.str());
+  }
+  {
+    std::ostringstream out;
+    BinaryTraceSink sink(out);
+    SimOptions opts;
+    opts.trace = &sink;
+    MachineSim sim(iris(), opts);
+    auto sched = make_scheduler("AFS");
+    sim.run(SorKernel::program(32, 3), *sched, 4);
+    sink.finalize();
+    seeds.push_back(out.str());
+  }
+  for (const std::string& seed : seeds) ASSERT_TRUE(decodes_and_analyzes(seed));
+
+  XorShift64 rng(0x5eed7ace);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next() % n);
+  };
+  int rejected = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::string bytes = seeds[static_cast<std::size_t>(round) % seeds.size()];
+    const int mutations = 1 + static_cast<int>(below(3));
+    for (int m = 0; m < mutations && !bytes.empty(); ++m) {
+      switch (below(3)) {
+        case 0:  // flip some bits of one byte
+          bytes[below(bytes.size())] ^= static_cast<char>(1 + below(255));
+          break;
+        case 1:  // truncate
+          bytes.resize(below(bytes.size()));
+          break;
+        default: {  // insert random bytes
+          std::string junk(1 + below(8), '\0');
+          for (char& c : junk) c = static_cast<char>(below(256));
+          bytes.insert(below(bytes.size() + 1), junk);
+          break;
+        }
+      }
+    }
+    if (!decodes_and_analyzes(bytes)) ++rejected;
+  }
+  EXPECT_GT(rejected, 500);  // the mutator really is hostile
 }
 
 TEST(BinaryTraceSink, FinalizePublishesAtomicallyAbandonDiscards) {

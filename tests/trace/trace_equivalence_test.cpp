@@ -1,13 +1,16 @@
-// The trace subsystem's core property: for the same seeded simulation,
-// the JSONL and binary sinks must decode to *identical* TraceRecord
-// sequences — every field bit-exact, through every scheduler family and
-// under kitchen-sink fault injection. On top of the decoded stream this
-// file also checks the trace conservation law (narrated + abandoned ==
+// The trace subsystem's core property: a .cctrace and its JSON-lines
+// rendering (`trace_report --jsonl`, i.e. trace_json) carry *identical*
+// records — every line parses as strict JSON and rebuilds the decoded
+// TraceRecord bit-exact, through every scheduler family and under
+// kitchen-sink fault injection. On top of the decoded stream this file
+// also checks the trace conservation law (narrated + abandoned ==
 // announced) and the paper's headline observable: AFS keeps a far higher
 // epoch-to-epoch affinity score than central-queue self-scheduling.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,9 +19,9 @@
 #include "kernels/sor.hpp"
 #include "machines/machines.hpp"
 #include "sched/registry.hpp"
+#include "service/json.hpp"
 #include "sim/machine_sim.hpp"
 #include "sim/perturbation.hpp"
-#include "sim/trace_sink.hpp"
 #include "trace/analysis.hpp"
 #include "trace/binary_sink.hpp"
 #include "trace/trace_reader.hpp"
@@ -67,39 +70,159 @@ std::vector<TraceRecord> decode(std::istringstream in) {
   return out;
 }
 
-/// Runs the same deterministic cell through both sinks and returns the
-/// two decoded sequences after asserting they are identical.
+/// Rebuilds a TraceRecord from one parsed JSON line, reading exactly the
+/// keys docs/SIMULATOR.md ("Trace schema") documents for its event.
+TraceRecord record_from_json(const service::JsonValue& v) {
+  const auto field = [&v](const char* key) -> const service::JsonValue& {
+    static const service::JsonValue missing;
+    const service::JsonValue* f = v.find(key);
+    EXPECT_NE(f, nullptr) << "missing key " << key;
+    return f != nullptr ? *f : missing;
+  };
+  const auto str = [&](const char* key) { return field(key).string; };
+  const auto real = [&](const char* key) { return field(key).number; };
+  const auto i64 = [&](const char* key) {
+    return static_cast<std::int64_t>(field(key).number);
+  };
+  const auto i32 = [&](const char* key) {
+    return static_cast<int>(field(key).number);
+  };
+
+  TraceRecord r;
+  const std::string ev = str("ev");
+  for (int e = static_cast<int>(TraceEv::kRunBegin);
+       e <= static_cast<int>(TraceEv::kRunEnd); ++e)
+    if (ev == to_string(static_cast<TraceEv>(e))) r.ev = static_cast<TraceEv>(e);
+  EXPECT_EQ(ev, to_string(r.ev)) << "unknown ev";
+  switch (r.ev) {
+    case TraceEv::kRunBegin:
+      r.machine = str("machine");
+      r.program = str("program");
+      r.scheduler = str("scheduler");
+      r.p = i32("p");
+      break;
+    case TraceEv::kLoopBegin:
+      r.epoch = i32("epoch");
+      r.n = i64("n");
+      r.p = i32("p");
+      break;
+    case TraceEv::kGrab: {
+      r.proc = i32("proc");
+      const std::string kind = str("kind");
+      for (GrabKind k : {GrabKind::kNone, GrabKind::kCentral, GrabKind::kLocal,
+                         GrabKind::kRemote, GrabKind::kStatic})
+        if (kind == to_string(k)) r.kind = k;
+      r.queue = i32("queue");
+      r.begin = i64("begin");
+      r.end = i64("end");
+      r.t0 = real("t0");
+      r.t1 = real("t1");
+      break;
+    }
+    case TraceEv::kChunk:
+      r.proc = i32("proc");
+      r.begin = i64("begin");
+      r.end = i64("end");
+      r.t0 = real("t0");
+      r.t1 = real("t1");
+      break;
+    case TraceEv::kMiss:
+      r.proc = i32("proc");
+      r.block = i64("block");
+      r.size = real("size");
+      r.t0 = real("t0");
+      r.t1 = real("t1");
+      break;
+    case TraceEv::kInval:
+      r.proc = i32("proc");
+      r.block = i64("block");
+      r.copies = i32("copies");
+      r.t0 = real("t0");
+      r.t1 = real("t1");
+      break;
+    case TraceEv::kDone:
+    case TraceEv::kLost:
+      r.proc = i32("proc");
+      r.t0 = real("t");
+      break;
+    case TraceEv::kStall:
+      r.proc = i32("proc");
+      r.t0 = real("t0");
+      r.t1 = real("t1");
+      break;
+    case TraceEv::kFaultSteal:
+      r.proc = i32("proc");
+      r.queue = i32("queue");
+      r.n = i64("iters");
+      break;
+    case TraceEv::kAbandoned:
+      r.n = i64("iters");
+      break;
+    case TraceEv::kLoopEnd:
+      r.epoch = i32("epoch");
+      r.t0 = real("end");
+      break;
+    case TraceEv::kBarrier:
+      r.epoch = i32("epoch");
+      r.size = real("cost");
+      r.t0 = real("total");
+      break;
+    case TraceEv::kRunEnd:
+      r.t0 = real("makespan");
+      break;
+  }
+  return r;
+}
+
+/// Checks that `line` is one strict JSON object holding exactly `want`:
+/// every documented field equal, and nothing else (re-rendering the
+/// rebuilt record reproduces the line byte for byte).
+void expect_line_matches(const std::string& line, const TraceRecord& want,
+                         const std::string& label) {
+  service::JsonValue v;
+  std::string error;
+  ASSERT_TRUE(service::parse_json(line, v, error))
+      << label << ": " << error << ": " << line;
+  ASSERT_TRUE(v.is_object()) << label << ": " << line;
+  const TraceRecord got = record_from_json(v);
+  EXPECT_EQ(got, want) << label << ": " << line;
+  EXPECT_EQ(trace_json(got), line) << label;
+}
+
+/// Runs one deterministic cell through the binary sink and returns the
+/// decoded records after asserting that each one's JSON line parses back
+/// to the identical record.
 std::vector<TraceRecord> check_equivalence(const MachineConfig& m,
                                            const LoopProgram& prog,
                                            const std::string& spec, int p,
                                            const PerturbationConfig* pc) {
-  std::ostringstream jsonl_out;
   std::ostringstream binary_out;
-  {
-    JsonlTraceSink jsonl(jsonl_out);
-    run_traced(m, prog, spec, p, jsonl, pc);
-  }
   {
     BinaryTraceSink binary(binary_out);
     run_traced(m, prog, spec, p, binary, pc);
   }
-
-  const std::vector<TraceRecord> from_jsonl =
-      decode(std::istringstream(jsonl_out.str()));
-  std::vector<TraceRecord> from_binary =
+  std::vector<TraceRecord> records =
       decode(std::istringstream(binary_out.str()));
 
   const std::string label = m.name + "/" + spec + "/" + prog.name +
                             "/P=" + std::to_string(p);
-  EXPECT_EQ(from_jsonl.size(), from_binary.size()) << label;
-  const std::size_t n = std::min(from_jsonl.size(), from_binary.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(from_jsonl[i], from_binary[i])
-        << label << ": record " << i << " ("
-        << to_string(from_jsonl[i].ev) << ") decodes differently";
-    if (!(from_jsonl[i] == from_binary[i])) break;  // one mismatch is enough
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::string line = trace_json(records[i]);
+    expect_line_matches(line, records[i],
+                        label + ": record " + std::to_string(i));
+    if (::testing::Test::HasFailure()) break;  // one mismatch is enough
   }
-  return from_binary;
+  return records;
+}
+
+void expect_conserved(const std::vector<TraceRecord>& records,
+                      const std::string& spec) {
+  for (const TraceAnalysis& a : analyze_trace(records)) {
+    EXPECT_TRUE(a.conserved())
+        << spec << ": " << a.executed_iterations << " executed + "
+        << a.abandoned_iterations << " abandoned != " << a.total_iterations
+        << " announced";
+  }
 }
 
 TEST(TraceEquivalence, AllPaperSchedulersDecodeIdentically) {
@@ -111,6 +234,7 @@ TEST(TraceEquivalence, AllPaperSchedulersDecodeIdentically) {
     ASSERT_FALSE(records.empty()) << spec;
     EXPECT_EQ(records.front().ev, TraceEv::kRunBegin) << spec;
     EXPECT_EQ(records.back().ev, TraceEv::kRunEnd) << spec;
+    expect_conserved(records, spec);
   }
 }
 
@@ -134,12 +258,7 @@ TEST(TraceEquivalence, KitchenSinkPerturbationsDecodeIdentically) {
 
     // Conservation law, through the binary reader: every announced
     // iteration is either narrated in a chunk or abandoned.
-    for (const TraceAnalysis& a : analyze_trace(records)) {
-      EXPECT_TRUE(a.conserved())
-          << spec << ": " << a.executed_iterations << " executed + "
-          << a.abandoned_iterations << " abandoned != "
-          << a.total_iterations << " announced";
-    }
+    expect_conserved(records, spec);
   }
 }
 
@@ -173,6 +292,46 @@ TEST(TraceEquivalence, AffinitySchedulingScoresAboveSelfScheduling) {
   const double ss = score("SS");
   EXPECT_GT(afs, 0.8);
   EXPECT_GT(afs, ss);
+}
+
+TEST(TraceReport, JsonlPrintsOneParseableLinePerRecord) {
+  // The real tool on a real file: a fault-injected SOR/AFS run, so every
+  // event type the engine narrates under faults is in the dump.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "afs_trace_jsonl_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "sor.p8.AFS.cctrace").string();
+  {
+    BinaryTraceSink sink(path);
+    const PerturbationConfig pc = kitchen_sink();
+    run_traced(quiet(ksr1()), SorKernel::program(48, 4), "AFS", 8, sink, &pc);
+    sink.finalize();
+  }
+  const std::vector<TraceRecord> records = read_trace(path);
+  ASSERT_FALSE(records.empty());
+
+  const std::string cmd =
+      std::string(AFS_TRACE_REPORT) + " --jsonl '" + path + "'";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr) << cmd;
+  std::string output;
+  char buf[1 << 16];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;)
+    output.append(buf, n);
+  EXPECT_EQ(::pclose(pipe), 0) << cmd;
+
+  ASSERT_FALSE(output.empty());
+  EXPECT_EQ(output.back(), '\n');
+  std::vector<std::string> lines;
+  std::istringstream in(output);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), records.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    expect_line_matches(lines[i], records[i], "line " + std::to_string(i));
+    if (HasFailure()) break;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// afs_sweep: the batch driver over the experiment registry and the
-// content-addressed result store (docs/SWEEP_SERVICE.md).
+// afs_sweep: the one entry point for the paper's figures and tables — the
+// batch driver over the experiment registry and the content-addressed
+// result store (docs/SWEEP_SERVICE.md).
 //
 //   afs_sweep list
 //       every registered experiment id with title and kind
@@ -41,7 +42,7 @@
 // (Hidden: `afs_sweep worker` is the sandbox worker entry point that
 // --isolation=process re-execs; it is not part of the CLI surface.)
 //
-// Shared flags are exactly the bench-binary flags (see --help).
+// Shared flags are experiments/bench_cli.hpp's (`afs_sweep run <id> --help`).
 #include <algorithm>
 #include <atomic>
 #include <csignal>
@@ -105,7 +106,7 @@ int usage(std::ostream& out, int rc) {
          "             [--procs=P,P] [--perturb=SPEC]\n"
          "        stats | health | shutdown\n"
          "        '{\"verb\":...}'       a raw protocol line\n"
-         "shared flags: the bench-binary flags (afs_sweep run --help);\n"
+         "shared flags: see afs_sweep run <id> --help;\n"
          "run also takes --isolation=thread|process [--workers=N]\n"
          "(sandboxed cell execution: a crash loses one attempt, not the\n"
          "batch); the store defaults to <out-dir>/.store unless "

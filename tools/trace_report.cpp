@@ -1,8 +1,9 @@
-// trace_report: decode simulator traces (.cctrace or .trace.jsonl),
-// print per-run analytics, and optionally render a self-contained
-// HTML/SVG Gantt timeline.
+// trace_report: decode simulator traces (.cctrace), print per-run
+// analytics, and optionally render a self-contained HTML/SVG Gantt
+// timeline — or dump the decoded records as JSON lines.
 //
 //   trace_report TRACE... [--html=PATH] [--title=TEXT]
+//   trace_report --jsonl TRACE...
 //
 // For every input trace the tool prints, per run: the (machine, program,
 // scheduler, P) header, makespan, affinity score, steal totals, a
@@ -15,6 +16,11 @@
 // (written atomically), e.g.
 //
 //   trace_report bench_results/fig15.p8.AFS.cctrace --html=fig15_afs.html
+//
+// --jsonl prints every decoded record as one JSON object per line, in the
+// schema of docs/SIMULATOR.md ("Trace schema"), and nothing else — the
+// grep/jq view of a binary trace. It exits nonzero only on a decode
+// error.
 
 #include <cstdio>
 #include <exception>
@@ -32,10 +38,13 @@ namespace {
 
 void print_usage(std::ostream& out) {
   out << "usage: trace_report TRACE... [--html=PATH] [--title=TEXT]\n"
-      << "  TRACE         a .cctrace or .trace.jsonl simulator trace\n"
-      << "                (format sniffed from the file header)\n"
+      << "       trace_report --jsonl TRACE...\n"
+      << "  TRACE         a .cctrace simulator trace\n"
       << "  --html=PATH   render all runs as a standalone HTML/SVG Gantt\n"
       << "  --title=TEXT  document heading for --html\n"
+      << "  --jsonl       print each record as one JSON object per line\n"
+      << "                (docs/SIMULATOR.md, \"Trace schema\") instead\n"
+      << "                of the analytics\n"
       << "Exits nonzero on decode errors or a trace conservation violation\n"
       << "(executed + abandoned iterations must equal the announced total).\n";
 }
@@ -98,6 +107,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> inputs;
   std::string html_path;
   std::string title;
+  bool jsonl = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -112,6 +122,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--title=", 0) == 0) {
       title = arg.substr(8);
+    } else if (arg == "--jsonl") {
+      jsonl = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "trace_report: unknown argument '" << arg << "'\n";
       print_usage(std::cerr);
@@ -126,9 +138,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (jsonl && !html_path.empty()) {
+    std::cerr << "trace_report: --jsonl and --html are exclusive\n";
+    return 2;
+  }
+
   bool violated = false;
   std::vector<afs::TraceRecord> all_records;
   try {
+    if (jsonl) {
+      for (const std::string& path : inputs) {
+        afs::TraceReader reader(path);
+        afs::TraceRecord rec;
+        while (reader.next(rec)) std::cout << afs::trace_json(rec) << '\n';
+      }
+      return EXIT_SUCCESS;
+    }
     for (const std::string& path : inputs) {
       std::vector<afs::TraceRecord> records = afs::read_trace(path);
       const std::vector<afs::TraceAnalysis> runs =
@@ -140,9 +165,10 @@ int main(int argc, char** argv) {
         print_run(a, std::cout);
         if (!a.conserved()) violated = true;
       }
-      all_records.insert(all_records.end(),
-                         std::make_move_iterator(records.begin()),
-                         std::make_move_iterator(records.end()));
+      if (!html_path.empty())
+        all_records.insert(all_records.end(),
+                           std::make_move_iterator(records.begin()),
+                           std::make_move_iterator(records.end()));
     }
 
     if (!html_path.empty()) {
