@@ -6,11 +6,10 @@
 //   --out-dir=DIR     write CSVs (and traces) under DIR [bench_results]
 //   --trace           also write a .cctrace per (scheduler, P) cell
 //   --time-phases     write the engine's host phase breakdown
-//   --jobs=N          run (scheduler, P) cells on N threads [1]
-//   --resume          reload finished cells from the sweep checkpoint
+//   --jobs=N          run the cells of the run on N threads [1]
 //   --cell-timeout=S  wall-clock deadline (seconds) per cell attempt
 //   --cell-retries=N  re-attempts per cell after the first failed try
-//   --sweep-timeout=S wall-clock deadline for the whole sweep
+//   --sweep-timeout=S wall-clock deadline for the whole run
 //   --store=DIR       serve/fill the content-addressed result store at DIR
 //   --no-store        disable the store (afs_sweep enables it by default)
 //   --help            usage
@@ -37,25 +36,18 @@ struct BenchCli {
                        ///< under <out_dir> (see trace_cell_path)
   bool time_phases = false;  ///< collect engine phase timers; write
                              ///< <out_dir>/<id>.phases.json
-  int jobs = 1;                ///< sweep-runner worker threads
-  bool resume = false;         ///< reload checkpointed cells
+  int jobs = 1;                ///< run-queue worker threads
   double cell_timeout = 0.0;   ///< seconds per cell attempt; 0 = unlimited
-  double sweep_timeout = 0.0;  ///< seconds for the whole sweep; 0 = unlimited
+  double sweep_timeout = 0.0;  ///< seconds for the whole run; 0 = unlimited
   int cell_retries = -1;       ///< re-attempts per cell; -1 = runner default
   std::string store_dir;       ///< content-addressed store root; empty = off
   bool no_store = false;       ///< force the store off (driver default is on)
-
-  /// True when any sweep-runner flag deviates from its default.
-  bool runner_flags_set() const {
-    return jobs != 1 || resume || cell_timeout > 0.0 || sweep_timeout > 0.0 ||
-           cell_retries >= 0;
-  }
 };
 
 inline void print_usage(const char* argv0, std::ostream& out) {
   out << "usage: " << argv0
       << " [--procs=1,2,4] [--out-dir=DIR] [--trace] [--time-phases]\n"
-      << "       [--jobs=N] [--resume] [--cell-timeout=S] [--sweep-timeout=S]\n"
+      << "       [--jobs=N] [--cell-timeout=S] [--sweep-timeout=S]\n"
       << "       [--cell-retries=N] [--store=DIR] [--no-store]\n"
       << "  --procs=LIST   comma-separated processor counts overriding the\n"
       << "                 figure's standard sweep\n"
@@ -64,17 +56,17 @@ inline void print_usage(const char* argv0, std::ostream& out) {
       << "                 cell to <out-dir>/<id>.p<P>.<scheduler>.cctrace\n"
       << "                 (render with tools/trace_report, dump as JSON\n"
       << "                 lines with trace_report --jsonl); composes with\n"
-      << "                 --jobs/--resume\n"
+      << "                 --jobs\n"
       << "  --time-phases  collect the engine's host wall-clock phase\n"
       << "                 breakdown and write <out-dir>/<id>.phases.json\n"
       << "                 (simulated results stay bit-identical; see\n"
       << "                 tools/phase_report.py)\n"
-      << "  --jobs=N       run independent (scheduler, P) sweep cells on N\n"
-      << "                 threads (default 1 = serial; results identical)\n"
-      << "  --resume       reload finished cells from the sweep checkpoint\n"
-      << "                 under <out-dir>/.sweep/<id> instead of rerunning\n"
+      << "  --jobs=N       run the cells of every selected experiment on one\n"
+      << "                 queue of N threads, costliest first (default 1 =\n"
+      << "                 serial; results identical)\n"
       << "  --cell-timeout=S  per-cell wall-clock deadline in seconds\n"
-      << "  --sweep-timeout=S sweep-wide wall-clock deadline in seconds\n"
+      << "  --sweep-timeout=S wall-clock deadline in seconds for the whole\n"
+      << "                 run\n"
       << "                 (timed-out cells are reported, not fatal —\n"
       << "                  see docs/SWEEP_RUNNER.md)\n"
       << "  --cell-retries=N  re-attempts after a cell's first failed try\n"
@@ -172,8 +164,6 @@ inline bool parse_cli_args(const std::vector<std::string>& args, BenchCli& cli,
         if (comma == std::string::npos) break;
         pos = comma + 1;  // a trailing comma leaves an empty (bad) token
       }
-    } else if (arg == "--resume") {
-      cli.resume = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
       const std::string tok = arg.substr(7);
       char* end = nullptr;

@@ -92,10 +92,6 @@ Table FigureResult::completion_table() const {
   return t;
 }
 
-FigureResult run_figure(const FigureSpec& spec, std::ostream& out) {
-  return run_figure(spec, out, SweepOptions{});
-}
-
 MachineSim& warm_machine_sim(const MachineConfig& machine,
                              const SimOptions& options) {
   // One warm simulator per sweep thread, keyed by everything MachineSim
@@ -125,135 +121,223 @@ MachineSim& warm_machine_sim(const MachineConfig& machine,
   return *warm;
 }
 
+SimResult simulate_cell(const MachineConfig& machine,
+                        const LoopProgram& program, Scheduler& sched,
+                        int procs, const SimOptions& options) {
+  if (!options.epoch_batch) {
+    // Epoch batching off: the pre-reuse path, one simulator per cell.
+    MachineSim sim(machine, options);
+    return sim.run(program, sched, procs);
+  }
+  return warm_machine_sim(machine, options).run(program, sched, procs);
+}
+
 SimResult run_figure_cell(const FigureSpec& spec, const SchedulerEntry& se,
                           int procs, const SimOptions& options) {
   maybe_crash_cell_for_test(spec.id, se.label, procs);
   auto sched = se.make();
-  if (!options.epoch_batch) {
-    // Epoch batching off: the pre-reuse path, one simulator per cell.
-    MachineSim sim(spec.machine, options);
-    return sim.run(spec.program, *sched, procs);
-  }
-  return warm_machine_sim(spec.machine, options)
-      .run(spec.program, *sched, procs);
+  return simulate_cell(spec.machine, spec.program, *sched, procs, options);
 }
 
-FigureResult run_figure(const FigureSpec& spec, std::ostream& out,
-                        const SweepOptions& sweep) {
-  AFS_CHECK(!spec.procs.empty() && !spec.schedulers.empty());
-  out << "== " << spec.id << ": " << spec.title << " ==\n";
-  out << "machine: " << spec.machine.name << ", program: " << spec.program.name
-      << "\n";
+SimResult load_or_simulate(ResultStore* store, const CellKey& key,
+                           const std::function<SimResult()>& simulate) {
+  if (store == nullptr) return simulate();
+  SimResult r;
+  if (store->load(key, r)) return r;
+  r = simulate();
+  if (key.cacheable) store->save(key, r);
+  return r;
+}
 
-  FigureResult result;
-  result.id = spec.id;
-  {
-    MachineSim sim(spec.machine, spec.sim_options);
-    result.serial_time = sim.ideal_serial_time(spec.program);
-  }
+std::uint64_t key_hash(const CellKey& key) {
+  return key.cacheable ? key.hash : 0;
+}
 
-  if (spec.trace) {
-    std::filesystem::create_directories(spec.out_dir);
-    out << "(tracing per cell to " << spec.out_dir << "/" << spec.id
-        << ".p<P>.<scheduler>.cctrace)\n";
-  }
+double program_cost(const LoopProgram& program) {
+  double cost = 0.0;
+  for (int e = 0; e < program.epochs; ++e)
+    for (const ParallelLoopSpec& loop : program.epoch_loops(e))
+      cost += loop.footprint == nullptr && loop.work_sum != nullptr
+                  ? 1.0
+                  : static_cast<double>(loop.n);
+  return cost;
+}
 
-  // One sweep cell per (scheduler, P): a fresh simulator and scheduler per
-  // cell, so results depend only on the cell's own inputs and the merged
-  // sweep is bit-identical whether cells run serially, in parallel, or are
-  // reloaded from a checkpoint. (A simulator run resets all per-run state
-  // anyway — the legacy shared-instance loop produced the same numbers.)
-  std::vector<SweepCellSpec> cells;
-  cells.reserve(spec.schedulers.size() * spec.procs.size());
-  for (const SchedulerEntry& se : spec.schedulers) {
-    for (int p : spec.procs) {
-      AFS_CHECK_MSG(p <= spec.machine.max_processors,
-                    "P=" << p << " exceeds " << spec.machine.name);
-      cells.push_back(
-          {se.label, p, [&spec, &se, p](const CancelToken& token) {
-             SimOptions options = spec.sim_options;
-             options.cancel = &token;
-             // Each cell owns its trace writer, so tracing composes with
-             // parallel sweeps; the trace is published atomically only
-             // when the cell completes (a failed or cancelled attempt
-             // leaves no partial file, and a retry starts clean).
-             std::unique_ptr<BinaryTraceSink> trace;
-             if (spec.trace) {
-               trace = std::make_unique<BinaryTraceSink>(
-                   trace_cell_path(spec.out_dir, spec.id, se.label, p));
-               options.trace = trace.get();
-             }
-             // Consult the store first (traced/timed cells key as
-             // uncacheable, so those always simulate). The key is built
-             // after the trace sink is wired in so cacheability sees the
-             // real options.
-             CellKey key;
-             if (spec.store) {
-               key = make_cell_key(spec.machine, spec.program.key, se.key, p,
-                                   options);
-               SimResult cached;
-               if (spec.store->load(key, cached)) return cached;
-             }
-             // Store miss: dispatch to the sandbox executor when one is
-             // wired in and the cell's outputs survive the wire (traces
-             // and phase timers do not — those cells stay in-process).
-             // Store hits above are served either way, which is what the
-             // executor's degraded cache-only mode relies on.
-             if (spec.executor != nullptr && spec.exec.valid() &&
-                 trace == nullptr && !options.time_phases) {
-               SimResult r = spec.executor->execute(
-                   spec.exec, se.label, p,
-                   EngineToggles{options.batch_iterations,
-                                 options.memory_fast_path,
-                                 options.calendar_queue, options.epoch_batch},
-                   token);
-               if (spec.store && key.cacheable) spec.store->save(key, r);
-               return r;
-             }
-             try {
-               SimResult r = run_figure_cell(spec, se, p, options);
-               if (trace) trace->finalize();
-               if (spec.store && key.cacheable) spec.store->save(key, r);
-               return r;
-             } catch (...) {
-               if (trace) trace->abandon();
-               throw;
-             }
-           }});
-    }
-  }
-
-  SweepOutcome outcome = run_sweep(spec.id, cells, sweep, &out);
-
-  // Graceful degradation: completed cells are published either way; failed
-  // cells get a machine-readable report next to the CSV (and any stale
-  // report from an earlier degraded run is removed on full success).
-  const std::string report = spec.out_dir + "/" + spec.id + ".failures.json";
-  if (!outcome.failures.empty()) {
-    write_file_atomic(report, failure_report_json(spec.id, outcome));
+std::string publish_failure_report(const std::string& out_dir,
+                                   const std::string& id, int cells_total,
+                                   const std::vector<CellFailure>& failures) {
+  const std::string report = out_dir + "/" + id + ".failures.json";
+  if (!failures.empty()) {
+    write_file_atomic(report, failure_report_json(id, cells_total, failures));
   } else {
     std::error_code ec;
     std::filesystem::remove(report, ec);
   }
+  return report;
+}
 
-  result.results = std::move(outcome.results);
-  result.failures = std::move(outcome.failures);
-  result.cells_total = outcome.cells_total;
-  result.cells_resumed = outcome.cells_resumed;
+/// A figure cell's store key. Traced and host-timed cells key as
+/// uncacheable: their side outputs are not in the store, so they always
+/// simulate.
+CellKey figure_cell_key(const FigureSpec& spec, const SchedulerEntry& se,
+                        int procs) {
+  CellKey key = make_cell_key(spec.machine, spec.program.key, se.key, procs,
+                              spec.sim_options);
+  key.cacheable = key.cacheable && !spec.trace;
+  return key;
+}
 
-  const std::string csv = spec.out_dir + "/" + spec.id + ".csv";
-  out << result.completion_table().to_ascii();
-  write_figure_csv(result, csv);
-  out << "(csv: " << csv << ")\n";
-  if (spec.sim_options.time_phases) {
-    const std::string phases = spec.out_dir + "/" + spec.id + ".phases.json";
-    write_phases_json(result, phases);
-    out << "(phase timers: " << phases << ")\n";
+ExperimentPlan plan_figure(
+    std::shared_ptr<const FigureSpec> spec,
+    std::function<bool(const FigureResult&, std::ostream&)> shapes,
+    FigureResult* keep) {
+  AFS_CHECK(!spec->procs.empty() && !spec->schedulers.empty());
+  if (spec->trace) std::filesystem::create_directories(spec->out_dir);
+
+  // One cell per (scheduler, P), each a function of its own inputs only,
+  // so the merged figure is bit-identical whatever order or thread the
+  // cells run in.
+  ExperimentPlan plan;
+  const double cost = program_cost(spec->program);
+  for (std::size_t s = 0; s < spec->schedulers.size(); ++s) {
+    const SchedulerEntry& scheduler = spec->schedulers[s];
+    for (int p : spec->procs) {
+      AFS_CHECK_MSG(p <= spec->machine.max_processors,
+                    "P=" << p << " exceeds " << spec->machine.name);
+      for (const SweepCellSpec& c : plan.cells)
+        AFS_CHECK_MSG(c.label != scheduler.label || c.procs != p,
+                      "duplicate sweep cell (" << scheduler.label << ", P=" << p
+                                               << ")");
+      SweepCellSpec cell;
+      cell.label = scheduler.label;
+      cell.procs = p;
+      cell.cost = cost * p;
+      if (spec->store) cell.key = key_hash(figure_cell_key(*spec, scheduler, p));
+      // The key text is rebuilt when the cell runs rather than held by
+      // every queued cell.
+      cell.run = [spec, s, p](const CancelToken& token) {
+        const SchedulerEntry& se = spec->schedulers[s];
+        SimOptions options = spec->sim_options;
+        options.cancel = &token;
+        CellKey key;
+        if (spec->store) key = figure_cell_key(*spec, se, p);
+        return load_or_simulate(spec->store, key, [&]() -> SimResult {
+          // A store miss goes to the sandbox executor when one is wired
+          // in and the cell's outputs survive the wire (traces and phase
+          // timers do not — those cells stay in-process). Store hits are
+          // served either way, which is what the executor's degraded
+          // cache-only mode relies on.
+          if (spec->executor != nullptr && spec->exec.valid() &&
+              !spec->trace && !options.time_phases)
+            return spec->executor->execute(
+                spec->exec, se.label, p,
+                EngineToggles{options.batch_iterations,
+                              options.memory_fast_path,
+                              options.calendar_queue, options.epoch_batch},
+                token);
+          // Each cell owns its trace writer, published only when the cell
+          // completes: a failed or cancelled attempt leaves no partial
+          // file, and a retry starts clean.
+          std::unique_ptr<BinaryTraceSink> trace;
+          if (spec->trace) {
+            trace = std::make_unique<BinaryTraceSink>(
+                trace_cell_path(spec->out_dir, spec->id, se.label, p));
+            options.trace = trace.get();
+          }
+          try {
+            SimResult r = run_figure_cell(*spec, se, p, options);
+            if (trace) trace->finalize();
+            return r;
+          } catch (...) {
+            if (trace) trace->abandon();
+            throw;
+          }
+        });
+      };
+      plan.cells.push_back(std::move(cell));
+    }
   }
-  if (!result.failures.empty())
-    out << "(" << result.failures.size() << " of " << result.cells_total
-        << " cells failed — report: " << report << ")\n";
-  out << "\n";
+
+  plan.render = [spec, shapes = std::move(shapes), keep](
+                    std::vector<CellOutcome>& outcomes, std::ostream& out) {
+    out << "machine: " << spec->machine.name
+        << ", program: " << spec->program.name << "\n";
+    if (spec->trace)
+      out << "(tracing per cell to " << spec->out_dir << "/" << spec->id
+          << ".p<P>.<scheduler>.cctrace)\n";
+    FigureResult result;
+    result.id = spec->id;
+    result.serial_time = MachineSim(spec->machine, spec->sim_options)
+                             .ideal_serial_time(spec->program);
+    result.cells_total = static_cast<int>(outcomes.size());
+    const std::size_t np = spec->procs.size();
+    for (std::size_t k = 0; k < outcomes.size(); ++k) {
+      if (outcomes[k].result)
+        result.results[spec->schedulers[k / np].label][spec->procs[k % np]] =
+            std::move(*outcomes[k].result);
+      else
+        result.failures.push_back(std::move(outcomes[k].failure));
+    }
+    std::sort(result.failures.begin(), result.failures.end(),
+              [](const CellFailure& a, const CellFailure& b) {
+                return a.label != b.label ? a.label < b.label
+                                          : a.procs < b.procs;
+              });
+
+    // Graceful degradation: completed cells are published either way;
+    // failed cells get a machine-readable report next to the CSV.
+    const std::string report = publish_failure_report(
+        spec->out_dir, spec->id, result.cells_total, result.failures);
+    const std::string csv = spec->out_dir + "/" + spec->id + ".csv";
+    out << result.completion_table().to_ascii();
+    write_figure_csv(result, csv);
+    out << "(csv: " << csv << ")\n";
+    if (spec->sim_options.time_phases) {
+      const std::string phases = spec->out_dir + "/" + spec->id + ".phases.json";
+      write_phases_json(result, phases);
+      out << "(phase timers: " << phases << ")\n";
+    }
+    if (!result.failures.empty())
+      out << "(" << result.failures.size() << " of " << result.cells_total
+          << " cells failed — report: " << report << ")\n";
+    out << "\n";
+
+    // Shape mismatches are data (EXPERIMENTS.md), not failures. Shapes
+    // assume a full grid, so a degraded figure skips them; only an
+    // invariant break — a simulator bug, not a deadline — is fatal.
+    if (shapes) {
+      if (result.failures.empty())
+        shapes(result, out);
+      else
+        out << "(skipping shape checks: " << result.failures.size() << " of "
+            << result.cells_total << " cells have no result)\n";
+      out << "\n";
+    }
+    int rc = EXIT_SUCCESS;
+    for (const CellFailure& f : result.failures)
+      if (f.kind == "invariant") rc = EXIT_FAILURE;
+    if (keep != nullptr) *keep = std::move(result);
+    return rc;
+  };
+  return plan;
+}
+
+FigureResult run_figure(const FigureSpec& spec, std::ostream& out) {
+  return run_figure(spec, out, SweepOptions{});
+}
+
+FigureResult run_figure(const FigureSpec& spec, std::ostream& out,
+                        const SweepOptions& sweep) {
+  FigureResult result;
+  ExperimentPlan plan =
+      plan_figure(std::make_shared<const FigureSpec>(spec), nullptr, &result);
+  out << "== " << spec.id << ": " << spec.title << " ==\n";
+  std::vector<CellOutcome> outcomes(plan.cells.size());
+  run_sweep(std::move(plan.cells), sweep,
+            [&outcomes](std::size_t k, CellOutcome o) {
+              outcomes[k] = std::move(o);
+            });
+  plan.render(outcomes, out);
   return result;
 }
 

@@ -3,7 +3,10 @@
 // metric breakdowns, prints the paper's series and writes CSV.
 //
 // Every registered figure experiment (experiments/registry.hpp) is a thin
-// declaration of one FigureSpec plus its paper shape checks.
+// declaration of one FigureSpec plus its paper shape checks. For the run
+// queue a figure splits into a plan — one cell per (scheduler, P) — and a
+// render step that builds its block, CSV and shape checks from the
+// cells' outcomes (plan_figure).
 #pragma once
 
 #include <functional>
@@ -25,6 +28,7 @@
 namespace afs {
 
 class ResultStore;  // store/result_store.hpp — optional, see FigureSpec
+struct CellKey;     // store/cell_key.hpp
 
 /// A named scheduler factory. A fresh scheduler is built per (P, run) so
 /// state (caches of the sim persist per run; scheduler stats do not leak).
@@ -61,9 +65,7 @@ struct FigureSpec {
   /// When set, every (scheduler, P) sweep cell streams its own .cctrace
   /// to trace_cell_path(out_dir, id, label, P), finalized atomically
   /// when the cell completes and discarded when it fails — so tracing
-  /// composes with parallel (--jobs=N) and resumed sweeps: cells never
-  /// share a writer, and a resumed cell's already-published trace is
-  /// left untouched.
+  /// composes with parallel (--jobs=N) runs: cells never share a writer.
   bool trace = false;
   /// Optional content-addressed result store (not owned). When set, each
   /// cacheable (scheduler, P) cell — program and scheduler both carry
@@ -96,7 +98,6 @@ struct FigureResult {
   /// completion table cover the completed cells regardless.
   std::vector<CellFailure> failures;
   int cells_total = 0;
-  int cells_resumed = 0;  ///< cells loaded from a sweep checkpoint
 
   double time(const std::string& label, int p) const;
   /// Completion-time table: rows = P, one column per scheduler.
@@ -105,17 +106,55 @@ struct FigureResult {
   double advantage(const std::string& a, const std::string& b, int p) const;
 };
 
-/// Runs the sweep; prints progress and the final table to `out`, writes
-/// CSV to bench_results/<id>.csv. The default overload runs serially with
-/// no checkpointing (the legacy behavior); the SweepOptions overload runs
-/// every (scheduler, P) cell through the crash-safe sweep runner —
-/// parallel across `jobs` threads, per-cell deadline/retry, checkpointed
-/// under `checkpoint_dir` — with a bit-identical merged result. Failed
-/// cells land in FigureResult::failures and (machine-readably) in
-/// <out_dir>/<id>.failures.json; completed cells are written regardless.
+/// One experiment split for the run queue: its cells, and a render step
+/// that writes its block (everything under its "== id: title ==" header)
+/// — tables, CSVs, shape checks — from the cells' outcomes, indexed like
+/// `cells`, and returns the experiment's exit code.
+struct ExperimentPlan {
+  std::vector<SweepCellSpec> cells;
+  std::function<int(std::vector<CellOutcome>&, std::ostream&)> render;
+};
+
+/// Plans `spec` as one cell per (scheduler, P), in declaration order.
+/// Each cell is served from spec->store when it holds the cell, else
+/// simulated (in spec->executor's sandbox when it can be) and published.
+/// The render prints the completion table, writes <out_dir>/<id>.csv
+/// (covering every completed cell) and <id>.failures.json when cells
+/// failed, then runs `shapes` on a complete grid; it exits nonzero only
+/// on an invariant break. When `keep` is set, the render also moves the
+/// merged result there.
+ExperimentPlan plan_figure(
+    std::shared_ptr<const FigureSpec> spec,
+    std::function<bool(const FigureResult&, std::ostream&)> shapes,
+    FigureResult* keep = nullptr);
+
+/// Runs one figure on its own queue (plan_figure without shape checks),
+/// printing its header and block to `out`. The default overload runs
+/// serially, the bit-identity reference.
 FigureResult run_figure(const FigureSpec& spec, std::ostream& out);
 FigureResult run_figure(const FigureSpec& spec, std::ostream& out,
                         const SweepOptions& sweep);
+
+/// Host-cost estimate of simulating `program`, per processor: the
+/// iterations the engine steps one at a time (a footprint-free loop with
+/// an analytic work_sum is charged per chunk, counted as one). A cell's
+/// queue cost is this times its P.
+double program_cost(const LoopProgram& program);
+
+/// A cell's SweepCellSpec::key: the key's hash, or 0 when uncacheable.
+std::uint64_t key_hash(const CellKey& key);
+
+/// The body every cell shares: serves `key` from `store` when it holds
+/// it, else runs `simulate` and publishes its result (cacheable keys
+/// only). Without a store it only simulates.
+SimResult load_or_simulate(ResultStore* store, const CellKey& key,
+                           const std::function<SimResult()>& simulate);
+
+/// One simulation on this thread's warm simulator (or a fresh one when
+/// options.epoch_batch is unset).
+SimResult simulate_cell(const MachineConfig& machine,
+                        const LoopProgram& program, Scheduler& sched,
+                        int procs, const SimOptions& options);
 
 /// Simulates exactly one (scheduler, P) cell of `spec` — the shared body
 /// of the in-process sweep path and the sandbox worker's cell op, so both
@@ -142,10 +181,16 @@ void write_figure_csv(const FigureResult& result, const std::string& path);
 
 /// Writes the engine's host wall-clock phase breakdown (one aggregate per
 /// scheduler plus a sweep-wide total) as JSON. Only meaningful for runs
-/// with SimOptions::time_phases set; cells without collected timers (e.g.
-/// resumed from a checkpoint, which never stores host timings) are
+/// with SimOptions::time_phases set; cells without collected timers are
 /// skipped and counted in "cells_untimed". Render with
 /// tools/phase_report.py.
 void write_phases_json(const FigureResult& result, const std::string& path);
+
+/// Writes <out_dir>/<id>.failures.json (failure_report_json) when any
+/// cell failed, else removes a stale one from an earlier run; returns its
+/// path.
+std::string publish_failure_report(const std::string& out_dir,
+                                   const std::string& id, int cells_total,
+                                   const std::vector<CellFailure>& failures);
 
 }  // namespace afs

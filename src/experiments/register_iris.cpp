@@ -23,20 +23,25 @@ namespace {
 /// The BEST-STATIC oracle for transitive closure: per-epoch costs from the
 /// precomputed activity trace. Its store key is sound because the program
 /// key embeds a content hash of the same graph the trace derives from.
-SchedulerEntry tc_best_static(
-    std::shared_ptr<std::vector<std::vector<std::uint8_t>>> trace,
-    std::int64_t n) {
-  return entry("BEST-STATIC", "BEST-STATIC@tc-trace", [trace, n] {
+SchedulerEntry tc_best_static(std::shared_ptr<const BitMatrix> trace) {
+  return entry("BEST-STATIC", "BEST-STATIC@tc-trace", [trace] {
     return std::make_unique<BestStaticScheduler>(
-        EpochCostProvider([trace, n](int epoch) {
-          return IterationCostFn([trace, epoch, n](std::int64_t j) {
-            return (*trace)[static_cast<std::size_t>(epoch)]
-                           [static_cast<std::size_t>(j)]
-                       ? static_cast<double>(n)
-                       : 1.0;
+        EpochCostProvider([trace](int epoch) {
+          return IterationCostFn([trace, epoch](std::int64_t j) {
+            return trace->test(epoch, j) ? static_cast<double>(trace->cols())
+                                         : 1.0;
           });
         }));
   });
+}
+
+/// A transitive-closure figure's program with its BEST-STATIC oracle:
+/// both read one activity trace of the graph.
+void tc_program_and_oracle(FigureSpec& spec, const BoolMatrix& graph) {
+  const auto trace = std::make_shared<const BitMatrix>(
+      TransitiveClosureKernel::active_trace(graph));
+  spec.program = TransitiveClosureKernel::program(graph, 2.0, trace);
+  spec.schedulers.back() = tc_best_static(trace);
 }
 
 }  // namespace
@@ -109,21 +114,16 @@ void register_iris_experiments(std::vector<Experiment>& experiments) {
       "fig05",
       "Transitive closure on the Iris (random 512-node graph, 8% edges)",
       [] {
-        const auto graph = random_graph(512, 0.08, 1992);
-        const auto trace =
-            std::make_shared<std::vector<std::vector<std::uint8_t>>>(
-                TransitiveClosureKernel::active_trace(graph));
         FigureSpec spec;
         spec.id = "fig05";
         spec.title =
             "Transitive closure on the Iris (random 512-node graph, 8% edges)";
         spec.machine = iris();
-        spec.program = TransitiveClosureKernel::program(graph);
         spec.procs = iris_procs();
         spec.schedulers = iris_schedulers();
         // BEST-STATIC's oracle knows the input: per-epoch costs from the
         // trace.
-        spec.schedulers.back() = tc_best_static(trace, graph.rows());
+        tc_program_and_oracle(spec, random_graph(512, 0.08, 1992));
         return spec;
       },
       [](const FigureResult& r, std::ostream& out) {
@@ -144,19 +144,14 @@ void register_iris_experiments(std::vector<Experiment>& experiments) {
   experiments.push_back(figure_experiment(
       "fig06", "Transitive closure on the Iris (640 nodes, 320-node clique)",
       [] {
-        const auto graph = clique_graph(640, 320);
-        const auto trace =
-            std::make_shared<std::vector<std::vector<std::uint8_t>>>(
-                TransitiveClosureKernel::active_trace(graph));
         FigureSpec spec;
         spec.id = "fig06";
         spec.title =
             "Transitive closure on the Iris (640 nodes, 320-node clique)";
         spec.machine = iris();
-        spec.program = TransitiveClosureKernel::program(graph);
         spec.procs = iris_procs();
         spec.schedulers = iris_schedulers();
-        spec.schedulers.back() = tc_best_static(trace, graph.rows());
+        tc_program_and_oracle(spec, clique_graph(640, 320));
         return spec;
       },
       [](const FigureResult& r, std::ostream& out) {

@@ -1,9 +1,9 @@
 // The bespoke tables (Tables 2-7): experiments whose rows are not a plain
 // (scheduler, P) grid — delayed-start perturbations, sync-operation
 // counts, a single-point scaling check, and the fault-injection extension.
-// Bodies moved verbatim from the former standalone bench binaries, with
-// every simulator invocation routed through run_cell_cached() so the
-// content-addressed store serves repeated cells.
+// Each plans its cells (table_cell, served by the content-addressed store
+// when it holds them) and renders its rows from their results, walking
+// the cells in the order it planned them.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -33,101 +33,121 @@ namespace {
 // 0.0625N .. 0.25N iterations' worth of time. Paper shape: GSS, TRAPEZOID,
 // FACTORING and AFS(k=P) are all equivalent (finish within one iteration);
 // AFS(k=2) is the worst but within ~10%.
-int run_tab2(const ExperimentContext& ctx, std::ostream& out) {
-  const bench::BenchCli& cli = ctx.cli;
+ExperimentPlan plan_tab2(const ExperimentContext& ctx) {
   const std::int64_t n = 200'000'000;
   const int p = 8;
   const std::vector<double> delays{0.0625, 0.125, 0.1875,
                                    0.2031, 0.2187, 0.25};
   const std::vector<std::string> specs{"GSS", "TRAPEZOID", "FACTORING",
                                        "AFS(k=2)", "AFS"};
-
-  out << "== tab2: balanced loop (N=2e8) with one delayed processor, "
-         "Iris model ==\n";
   MachineConfig machine = iris();
   machine.epoch_jitter = 0.0;  // the delay is the experiment's only skew
-  const LoopProgram program = balanced_program(n);
+  const SharedProgram program(balanced_program(n));
 
-  Table table({"delay", "GSS", "TRAPEZOID", "FACTORING", "AFS(k=2)",
-               "AFS(k=P)"});
-  bool all_close = true;
-  double worst_k2_ratio = 0.0;
-  double worst_k2_excess = 0.0;  // absolute time excess over the row's best
+  ExperimentPlan plan;
   for (double frac : delays) {
-    std::vector<std::string> row{Table::num(frac, 4) + "N"};
-    double best = 1e300;
-    std::vector<double> times;
     for (const auto& spec : specs) {
       // The delayed start is expressed through the fault-injection model:
       // one initial stall on processor 0 (accounted as stall_time).
       SimOptions opts;
       opts.perturb.start_delays.assign(p, 0.0);
       opts.perturb.start_delays[0] = frac * static_cast<double>(n);
-      const double t =
-          run_cell_cached(ctx, machine, program, spec, p, opts).makespan;
-      times.push_back(t);
-      best = std::min(best, t);
+      plan.cells.push_back(table_cell(
+          ctx, spec + " delay=" + Table::num(frac, 4) + "N", machine, program,
+          spec, p, opts));
     }
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      row.push_back(Table::num(times[i], 0));
-      const double ratio = times[i] / best;
-      if (specs[i] == "AFS(k=2)") {
-        worst_k2_ratio = std::max(worst_k2_ratio, ratio);
-        worst_k2_excess = std::max(worst_k2_excess, times[i] - best);
-      } else if (ratio > 1.02) {
-        all_close = false;
-      }
-    }
-    table.add_row(std::move(row));
   }
-  out << table.to_ascii();
-  table.write_csv(bench::csv_path(cli, "tab2"));
-  out << "(csv: " << bench::csv_path(cli, "tab2") << ")\n";
+  plan.render = [csv = bench::csv_path(ctx.cli, "tab2"), n, p, delays,
+                 specs](std::vector<CellOutcome>& cells, std::ostream& out) {
+    Table table({"delay", "GSS", "TRAPEZOID", "FACTORING", "AFS(k=2)",
+                 "AFS(k=P)"});
+    bool all_close = true;
+    double worst_k2_ratio = 0.0;
+    double worst_k2_excess = 0.0;  // absolute time excess over the row's best
+    std::size_t next = 0;
+    for (double frac : delays) {
+      std::vector<std::string> row{Table::num(frac, 4) + "N"};
+      double best = 1e300;
+      std::vector<double> times;
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const double t = cells[next++].result->makespan;
+        times.push_back(t);
+        best = std::min(best, t);
+      }
+      for (std::size_t i = 0; i < times.size(); ++i) {
+        row.push_back(Table::num(times[i], 0));
+        const double ratio = times[i] / best;
+        if (specs[i] == "AFS(k=2)") {
+          worst_k2_ratio = std::max(worst_k2_ratio, ratio);
+          worst_k2_excess = std::max(worst_k2_excess, times[i] - best);
+        } else if (ratio > 1.02) {
+          all_close = false;
+        }
+      }
+      table.add_row(std::move(row));
+    }
+    out << table.to_ascii();
+    table.write_csv(csv);
+    out << "(csv: " << csv << ")\n";
 
-  report_shape(out, all_close,
-               "GSS/TRAPEZOID/FACTORING/AFS(k=P) within ~2% of each other");
-  // AFS(k=2)'s excess must respect the Theorem 3.2 imbalance bound
-  // N(P-k)/(P(P-1)k)+1 iterations. (The paper measured ~10% on the real
-  // Iris; our worst case is larger because the simulator's zero-jitter
-  // schedule hits the theorem's adversarial alignment exactly —
-  // see EXPERIMENTS.md.)
-  const double bound = afs_imbalance_bound(n, p, 2);
-  report_shape(out, worst_k2_ratio >= 1.0,
-               "AFS(k=2) is the worst variant (measured +" +
-                   Table::num((worst_k2_ratio - 1.0) * 100.0, 1) + "%)");
-  report_shape(out, worst_k2_excess <= bound + 4.0,
-               "AFS(k=2)'s excess respects the Theorem 3.2 bound");
-  return 0;
+    report_shape(out, all_close,
+                 "GSS/TRAPEZOID/FACTORING/AFS(k=P) within ~2% of each other");
+    // AFS(k=2)'s excess must respect the Theorem 3.2 imbalance bound
+    // N(P-k)/(P(P-1)k)+1 iterations. (The paper measured ~10% on the real
+    // Iris; our worst case is larger because the simulator's zero-jitter
+    // schedule hits the theorem's adversarial alignment exactly —
+    // see EXPERIMENTS.md.)
+    const double bound = afs_imbalance_bound(n, p, 2);
+    report_shape(out, worst_k2_ratio >= 1.0,
+                 "AFS(k=2) is the worst variant (measured +" +
+                     Table::num((worst_k2_ratio - 1.0) * 100.0, 1) + "%)");
+    report_shape(out, worst_k2_excess <= bound + 4.0,
+                 "AFS(k=2)'s excess respects the Theorem 3.2 bound");
+    return 0;
+  };
+  return plan;
 }
 
-// Shared driver for the Tables 3-5 synchronization-operation counts: run a
+// Shared plan for the Tables 3-5 synchronization-operation counts: run a
 // program under each scheduler for P in {1,2,4,6,8} on the Iris model and
 // report removals per loop (central algorithms) and per-queue local /
 // remote removals per loop (AFS), exactly the columns of the paper.
-int run_sync_ops_table(const std::string& id, const std::string& title,
-                       const LoopProgram& program,
-                       const ExperimentContext& ctx, std::ostream& out) {
-  out << "== " << id << ": " << title << " ==\n";
-  Table table({"P", "SS", "GSS", "FACTORING", "TRAPEZOID", "AFS remote/queue",
-               "AFS local/queue"});
-  const MachineConfig machine = iris();
-
-  for (int p : {1, 2, 4, 6, 8}) {
-    std::vector<std::string> row{std::to_string(p)};
-    for (const char* spec : {"SS", "GSS", "FACTORING", "TRAPEZOID"}) {
-      const SimResult r = run_cell_cached(ctx, machine, program, spec, p);
-      row.push_back(Table::num(r.sched_stats.grabs_per_loop(), 1));
-    }
-    const SimResult r = run_cell_cached(ctx, machine, program, "AFS", p);
-    row.push_back(Table::num(r.sched_stats.remote_per_queue_per_loop(), 2));
-    row.push_back(Table::num(r.sched_stats.local_per_queue_per_loop(), 2));
-    table.add_row(std::move(row));
-  }
-  out << table.to_ascii();
-  const std::string csv = bench::csv_path(ctx.cli, id);
-  table.write_csv(csv);
-  out << "(csv: " << csv << ")\n\n";
-  return 0;
+std::function<ExperimentPlan(const ExperimentContext&)> plan_sync_ops(
+    std::string id, std::function<LoopProgram()> make_program) {
+  return [id, make_program](const ExperimentContext& ctx) {
+    const std::vector<int> procs{1, 2, 4, 6, 8};
+    const std::vector<std::string> specs{"SS", "GSS", "FACTORING",
+                                         "TRAPEZOID", "AFS"};
+    const MachineConfig machine = iris();
+    const SharedProgram program(make_program());
+    ExperimentPlan plan;
+    for (int p : procs)
+      for (const std::string& spec : specs)
+        plan.cells.push_back(
+            table_cell(ctx, spec, machine, program, spec, p));
+    plan.render = [csv = bench::csv_path(ctx.cli, id), procs, specs](
+                      std::vector<CellOutcome>& cells, std::ostream& out) {
+      Table table({"P", "SS", "GSS", "FACTORING", "TRAPEZOID",
+                   "AFS remote/queue", "AFS local/queue"});
+      std::size_t next = 0;
+      for (int p : procs) {
+        std::vector<std::string> row{std::to_string(p)};
+        for (std::size_t i = 0; i + 1 < specs.size(); ++i)
+          row.push_back(Table::num(
+              cells[next++].result->sched_stats.grabs_per_loop(), 1));
+        const SimResult& afs = *cells[next++].result;
+        row.push_back(
+            Table::num(afs.sched_stats.remote_per_queue_per_loop(), 2));
+        row.push_back(Table::num(afs.sched_stats.local_per_queue_per_loop(), 2));
+        table.add_row(std::move(row));
+      }
+      out << table.to_ascii();
+      table.write_csv(csv);
+      out << "(csv: " << csv << ")\n\n";
+      return 0;
+    };
+    return plan;
+  };
 }
 
 // §5.3's table: Gaussian elimination on a 4096 x 4096 matrix with 16
@@ -136,49 +156,51 @@ int run_sync_ops_table(const std::string& id, const std::string& title,
 // TRAPEZOID 50.7, GSS 73.7. The shape to reproduce: AFS ~ STATIC <
 // MOD-FACTORING << FACTORING < TRAPEZOID < GSS, with AFS >2x over the
 // non-affinity schedulers even at this size.
-int run_tab6(const ExperimentContext& ctx, std::ostream& out) {
-  out << "== tab6: Gaussian elimination N=4096, P=16, KSR-1 model ==\n";
-  const auto program = GaussKernel::program(4096);
+ExperimentPlan plan_tab6(const ExperimentContext& ctx) {
+  const SharedProgram program(GaussKernel::program(4096));
   const MachineConfig machine = ksr1();
-  const double serial = MachineSim(machine).ideal_serial_time(program);
+  const std::vector<std::string> specs{"AFS",       "STATIC",    "MOD-FACTORING",
+                                       "FACTORING", "TRAPEZOID", "GSS"};
+  ExperimentPlan plan;
+  for (const std::string& spec : specs)
+    plan.cells.push_back(table_cell(ctx, spec, machine, program, spec, 16));
+  plan.render = [csv = bench::csv_path(ctx.cli, "tab6"), machine,
+                 program = program.program,
+                 specs](std::vector<CellOutcome>& cells, std::ostream& out) {
+    const double serial = MachineSim(machine).ideal_serial_time(*program);
+    Table table({"scheduler", "completion time", "vs AFS", "speedup"});
+    const double afs_time = cells.front().result->makespan;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const double t = cells[i].result->makespan;
+      table.add_row({specs[i], Table::num(t, 0), Table::num(t / afs_time, 2),
+                     Table::num(serial / t, 2)});
+    }
+    out << table.to_ascii();
+    table.write_csv(csv);
+    out << "(csv: " << csv << ")\n";
 
-  Table table({"scheduler", "completion time", "vs AFS", "speedup"});
-  std::vector<std::pair<std::string, double>> results;
-  for (const char* spec : {"AFS", "STATIC", "MOD-FACTORING", "FACTORING",
-                           "TRAPEZOID", "GSS"}) {
-    const SimResult r = run_cell_cached(ctx, machine, program, spec, 16);
-    results.emplace_back(spec, r.makespan);
-    out << "  " << spec << ": done\n";
-  }
-  const double afs_time = results.front().second;
-  for (const auto& [spec, t] : results) {
-    table.add_row({spec, Table::num(t, 0), Table::num(t / afs_time, 2),
-                   Table::num(serial / t, 2)});
-  }
-  out << table.to_ascii();
-  table.write_csv(bench::csv_path(ctx.cli, "tab6"));
-  out << "(csv: " << bench::csv_path(ctx.cli, "tab6") << ")\n";
-
-  auto t = [&](const char* name) {
-    for (const auto& [spec, v] : results)
-      if (spec == name) return v;
-    return 0.0;
+    auto t = [&](const char* name) {
+      for (std::size_t i = 0; i < specs.size(); ++i)
+        if (specs[i] == name) return cells[i].result->makespan;
+      return 0.0;
+    };
+    report_shape(out, t("AFS") <= t("STATIC") * 1.05,
+                 "AFS ~ STATIC (paper: 20.6 vs 20.9 min)");
+    report_shape(out, t("MOD-FACTORING") < t("FACTORING"),
+                 "MOD-FACTORING well ahead of FACTORING");
+    // The paper measured 2.3x (FACTORING) to 3.6x (GSS) over AFS at P=16
+    // on the real KSR-1; our ring model saturates a little later, so the
+    // gap at P=16 is smaller (it reaches ~4x by P=57 — see fig15). The
+    // robust shape: every non-affinity scheduler pays a clear ring penalty
+    // while AFS/STATIC/MOD-FACTORING do not.
+    report_shape(out, t("FACTORING") > 1.2 * t("AFS"),
+                 "FACTORING pays a clear ring penalty over AFS (paper: 2.3x)");
+    report_shape(out,
+                 t("GSS") > 1.2 * t("AFS") && t("TRAPEZOID") > 1.2 * t("AFS"),
+                 "GSS and TRAPEZOID pay it too (paper: 3.6x / 2.5x)");
+    return 0;
   };
-  report_shape(out, t("AFS") <= t("STATIC") * 1.05,
-               "AFS ~ STATIC (paper: 20.6 vs 20.9 min)");
-  report_shape(out, t("MOD-FACTORING") < t("FACTORING"),
-               "MOD-FACTORING well ahead of FACTORING");
-  // The paper measured 2.3x (FACTORING) to 3.6x (GSS) over AFS at P=16 on
-  // the real KSR-1; our ring model saturates a little later, so the gap at
-  // P=16 is smaller (it reaches ~4x by P=57 — see fig15). The robust
-  // shape: every non-affinity scheduler pays a clear ring penalty while
-  // AFS/STATIC/MOD-FACTORING do not.
-  report_shape(out, t("FACTORING") > 1.2 * t("AFS"),
-               "FACTORING pays a clear ring penalty over AFS (paper: 2.3x)");
-  report_shape(out,
-               t("GSS") > 1.2 * t("AFS") && t("TRAPEZOID") > 1.2 * t("AFS"),
-               "GSS and TRAPEZOID pay it too (paper: 3.6x / 2.5x)");
-  return 0;
+  return plan;
 }
 
 /// Bitwise equality of every accumulator the engine produces: the
@@ -194,6 +216,36 @@ bool identical(const SimResult& a, const SimResult& b) {
          a.abandoned_iterations == b.abandoned_iterations;
 }
 
+struct MachineCase {
+  MachineConfig config;
+  int procs;
+  std::int64_t n;  // Gauss matrix order
+};
+
+/// Fault level `level` of tab7's ladder, scaled by the run's unperturbed
+/// makespan.
+SimOptions fault_options(const std::string& level, double baseline,
+                         const MachineConfig& machine) {
+  SimOptions opts;
+  PerturbationConfig& pc = opts.perturb;
+  if (level == "stall-low") {
+    pc.stall_mean_interval = baseline * 0.05;
+    pc.stall_duration = baseline * 0.0025;  // ~5% of time stalled
+  } else if (level == "stall-high") {
+    pc.stall_mean_interval = baseline * 0.02;
+    pc.stall_duration = baseline * 0.004;  // ~20% of time stalled
+  } else if (level == "mem-faults") {
+    pc.mem_spike_prob = 0.1;
+    pc.mem_spike_latency = 5.0 * machine.miss_latency;
+    pc.burst_mean_interval = baseline * 0.1;
+    pc.burst_duration = baseline * 0.02;
+    pc.burst_multiplier = 4.0;
+  } else if (level == "proc-loss") {
+    pc.losses.push_back({0, baseline * 0.3});
+  }
+  return opts;
+}
+
 // Table 7 (extension, not in the paper): graceful degradation under
 // deterministic fault injection. For each machine (Iris, Butterfly,
 // KSR-1) and scheduler (AFS, the full central-queue line-up, STATIC) we
@@ -201,15 +253,7 @@ bool identical(const SimResult& a, const SimResult& b) {
 // under increasing fault intensity and report the slowdown plus the fault
 // counters. Unlike the paper-reproduction experiments, this one *fails*
 // (nonzero exit) when a resilience invariant breaks.
-int run_tab7(const ExperimentContext& ctx, std::ostream& out) {
-  out << "== tab7: scheduler resilience vs. fault intensity "
-         "(Gauss, deterministic fault injection) ==\n";
-
-  struct MachineCase {
-    MachineConfig config;
-    int procs;
-    std::int64_t n;  // Gauss matrix order
-  };
+ExperimentPlan plan_tab7(const ExperimentContext& ctx) {
   std::vector<MachineCase> machines;
   {
     MachineCase iris_case{iris(), 8, 256};
@@ -224,122 +268,135 @@ int run_tab7(const ExperimentContext& ctx, std::ostream& out) {
   }
   // AFS, every central-queue discipline the registry offers, and STATIC:
   // the fault model must hold for each queue topology, not just the four
-  // schedulers the original extension sampled.
-  const std::vector<std::string> specs{"AFS",       "SS",
-                                       "CHUNK(8)",  "GSS",
-                                       "FACTORING", "TRAPEZOID",
-                                       "TAPER(1.3)", "STATIC"};
+  // schedulers the original extension sampled. The adaptive frontier
+  // rides the same ladder (and the same invariants) into its own CSV, so
+  // tab7.csv stays byte-stable.
+  const std::vector<std::vector<std::string>> lineups{
+      {"AFS", "SS", "CHUNK(8)", "GSS", "FACTORING", "TRAPEZOID", "TAPER(1.3)",
+       "STATIC"},
+      adaptive_scheduler_specs()};
   const std::vector<std::string> levels{"none", "stall-low", "stall-high",
                                         "mem-faults", "proc-loss"};
 
-  Table table({"machine", "sched", "fault", "makespan", "slowdown", "stall%",
-               "stolen", "abandoned"});
-  bool conservation_ok = true;
-  bool batching_ok = true;
-  bool afs_loss_ok = false;
-  bool static_loss_ok = false;
-
-  // Shared fault ladder for any scheduler lineup: the paper lineup fills
-  // the golden tab7.csv; the adaptive frontier rides the same ladder (and
-  // the same invariants) into its own CSV so tab7.csv stays byte-stable.
-  auto run_lineup = [&](const std::vector<std::string>& lineup,
-                        Table& rows) {
-  for (const MachineCase& mc : machines) {
-    const LoopProgram program = GaussKernel::program(mc.n);
-    for (const std::string& spec : lineup) {
-      double baseline = 0.0;
-      for (const std::string& level : levels) {
-        SimOptions opts;
-        PerturbationConfig& pc = opts.perturb;
-        if (level == "stall-low") {
-          pc.stall_mean_interval = baseline * 0.05;
-          pc.stall_duration = baseline * 0.0025;  // ~5% of time stalled
-        } else if (level == "stall-high") {
-          pc.stall_mean_interval = baseline * 0.02;
-          pc.stall_duration = baseline * 0.004;  // ~20% of time stalled
-        } else if (level == "mem-faults") {
-          pc.mem_spike_prob = 0.1;
-          pc.mem_spike_latency = 5.0 * mc.config.miss_latency;
-          pc.burst_mean_interval = baseline * 0.1;
-          pc.burst_duration = baseline * 0.02;
-          pc.burst_multiplier = 4.0;
-        } else if (level == "proc-loss") {
-          pc.losses.push_back({0, baseline * 0.3});
-        }
-
-        const SimResult r =
-            run_cell_cached(ctx, mc.config, program, spec, mc.procs, opts);
-        if (level == "none") baseline = r.makespan;
-
-        if (!check_time_identity(r, mc.procs)) {
-          conservation_ok = false;
-          std::cerr << "conservation violated: " << mc.config.name << " "
-                    << spec << " " << level << " accounted="
-                    << accounted_time(r) << " expected="
-                    << mc.procs * r.makespan << "\n";
-        }
-        if (level != "none") {
-          SimOptions unbatched = opts;
-          unbatched.batch_iterations = false;
-          const SimResult r_ab = run_cell_cached(ctx, mc.config, program,
-                                                 spec, mc.procs, unbatched);
-          if (!identical(r, r_ab)) {
-            batching_ok = false;
-            std::cerr << "batching divergence: " << mc.config.name << " "
-                      << spec << " " << level << "\n";
+  // One ladder per (machine, scheduler): the unperturbed baseline, then
+  // each fault level scaled by the baseline's makespan, batched and
+  // unbatched (the A/B check) — both run after the baseline, which hands
+  // them its makespan through `baselines`.
+  auto baselines = std::make_shared<std::vector<double>>();
+  ExperimentPlan plan;
+  for (const std::vector<std::string>& lineup : lineups) {
+    for (const MachineCase& mc : machines) {
+      const SharedProgram program(GaussKernel::program(mc.n));
+      for (const std::string& spec : lineup) {
+        const std::size_t slot = baselines->size();
+        baselines->push_back(0.0);
+        const int base = static_cast<int>(plan.cells.size());
+        SweepCellSpec none = table_cell(ctx, mc.config.name + " " + spec,
+                                        mc.config, program, spec, mc.procs);
+        none.run = [run = std::move(none.run), baselines,
+                    slot](const CancelToken& token) {
+          SimResult r = run(token);
+          (*baselines)[slot] = r.makespan;
+          return r;
+        };
+        plan.cells.push_back(std::move(none));
+        for (std::size_t l = 1; l < levels.size(); ++l) {
+          for (const bool batched : {true, false}) {
+            SweepCellSpec cell;
+            cell.label = mc.config.name + " " + spec + " " + levels[l] +
+                         (batched ? "" : " unbatched");
+            cell.procs = mc.procs;
+            cell.cost = program.cost * mc.procs;
+            cell.after = base;
+            cell.run = [store = ctx.store, machine = mc.config,
+                        program = program.program, spec, procs = mc.procs,
+                        level = levels[l], batched, baselines,
+                        slot](const CancelToken& token) {
+              SimOptions opts =
+                  fault_options(level, (*baselines)[slot], machine);
+              opts.batch_iterations = batched;
+              return run_table_cell(store, machine, *program, spec, procs,
+                                    opts, token);
+            };
+            plan.cells.push_back(std::move(cell));
           }
         }
-        if (level == "proc-loss" && spec == "AFS" &&
-            r.lost_processor_count == 1 && r.stolen_under_fault > 0)
-          afs_loss_ok = true;
-        if (level == "proc-loss" && spec == "STATIC" &&
-            r.abandoned_iterations > 0)
-          static_loss_ok = true;
-
-        rows.add_row(
-            {mc.config.name, spec, level, Table::num(r.makespan, 0),
-             Table::num(baseline > 0.0 ? r.makespan / baseline : 1.0, 3),
-             Table::num(r.makespan > 0.0
-                            ? 100.0 * r.stall_time /
-                                  (mc.procs * r.makespan)
-                            : 0.0,
-                        1),
-             Table::num(r.stolen_under_fault),
-             Table::num(r.abandoned_iterations)});
       }
     }
   }
+
+  plan.render = [csvs = std::vector<std::string>{
+                     bench::csv_path(ctx.cli, "tab7"),
+                     bench::csv_path(ctx.cli, "tab7_adaptive")},
+                 machines, lineups,
+                 levels](std::vector<CellOutcome>& cells, std::ostream& out) {
+    bool conservation_ok = true;
+    bool batching_ok = true;
+    bool afs_loss_ok = false;
+    bool static_loss_ok = false;
+    std::size_t next = 0;
+    for (std::size_t li = 0; li < lineups.size(); ++li) {
+      Table rows({"machine", "sched", "fault", "makespan", "slowdown",
+                  "stall%", "stolen", "abandoned"});
+      for (const MachineCase& mc : machines) {
+        for (const std::string& spec : lineups[li]) {
+          double baseline = 0.0;
+          for (const std::string& level : levels) {
+            const SimResult& r = *cells[next++].result;
+            if (level == "none") baseline = r.makespan;
+
+            if (!check_time_identity(r, mc.procs)) {
+              conservation_ok = false;
+              std::cerr << "conservation violated: " << mc.config.name << " "
+                        << spec << " " << level
+                        << " accounted=" << accounted_time(r)
+                        << " expected=" << mc.procs * r.makespan << "\n";
+            }
+            if (level != "none" && !identical(r, *cells[next++].result)) {
+              batching_ok = false;
+              std::cerr << "batching divergence: " << mc.config.name << " "
+                        << spec << " " << level << "\n";
+            }
+            if (level == "proc-loss" && spec == "AFS" &&
+                r.lost_processor_count == 1 && r.stolen_under_fault > 0)
+              afs_loss_ok = true;
+            if (level == "proc-loss" && spec == "STATIC" &&
+                r.abandoned_iterations > 0)
+              static_loss_ok = true;
+
+            rows.add_row(
+                {mc.config.name, spec, level, Table::num(r.makespan, 0),
+                 Table::num(baseline > 0.0 ? r.makespan / baseline : 1.0, 3),
+                 Table::num(r.makespan > 0.0
+                                ? 100.0 * r.stall_time /
+                                      (mc.procs * r.makespan)
+                                : 0.0,
+                            1),
+                 Table::num(r.stolen_under_fault),
+                 Table::num(r.abandoned_iterations)});
+          }
+        }
+      }
+      out << rows.to_ascii();
+      rows.write_csv(csvs[li]);
+      out << "(csv: " << csvs[li] << ")\n";
+    }
+
+    report_shape(out, conservation_ok,
+                 "extended conservation (incl. stall_time) holds in every run");
+    report_shape(out, batching_ok,
+                 "perturbed runs bit-identical with batching on/off");
+    report_shape(out, afs_loss_ok,
+                 "AFS completes processor loss and steals the dead queue "
+                 "(stolen_under_fault > 0)");
+    report_shape(out, static_loss_ok,
+                 "STATIC reports the dead processor's share as abandoned");
+
+    const bool ok =
+        conservation_ok && batching_ok && afs_loss_ok && static_loss_ok;
+    return ok ? 0 : 1;
   };
-  run_lineup(specs, table);
-
-  out << table.to_ascii();
-  table.write_csv(bench::csv_path(ctx.cli, "tab7"));
-  out << "(csv: " << bench::csv_path(ctx.cli, "tab7") << ")\n";
-
-  // The adaptive frontier under the same fault ladder: their rows land in
-  // tab7_adaptive.csv, but every run still feeds the conservation and
-  // batching-invariance checks above — a feedback scheduler must degrade
-  // as gracefully as the paper's nine.
-  Table adaptive_table({"machine", "sched", "fault", "makespan", "slowdown",
-                        "stall%", "stolen", "abandoned"});
-  run_lineup(adaptive_scheduler_specs(), adaptive_table);
-  out << adaptive_table.to_ascii();
-  adaptive_table.write_csv(bench::csv_path(ctx.cli, "tab7_adaptive"));
-  out << "(csv: " << bench::csv_path(ctx.cli, "tab7_adaptive") << ")\n";
-
-  report_shape(out, conservation_ok,
-               "extended conservation (incl. stall_time) holds in every run");
-  report_shape(out, batching_ok,
-               "perturbed runs bit-identical with batching on/off");
-  report_shape(out, afs_loss_ok,
-               "AFS completes processor loss and steals the dead queue "
-               "(stolen_under_fault > 0)");
-  report_shape(out, static_loss_ok,
-               "STATIC reports the dead processor's share as abandoned");
-
-  const bool ok =
-      conservation_ok && batching_ok && afs_loss_ok && static_loss_ok;
-  return ok ? 0 : 1;
+  return plan;
 }
 
 }  // namespace
@@ -347,36 +404,25 @@ int run_tab7(const ExperimentContext& ctx, std::ostream& out) {
 void register_table_experiments(std::vector<Experiment>& experiments) {
   experiments.push_back(table_experiment(
       "tab2", "Balanced loop (N=2e8) with one delayed processor, Iris model",
-      {"tab2"}, run_tab2));
+      {"tab2"}, plan_tab2));
   experiments.push_back(table_experiment(
       "tab3", "Sync operations per loop, SOR N=512", {"tab3"},
-      [](const ExperimentContext& ctx, std::ostream& out) {
-        return run_sync_ops_table("tab3",
-                                  "sync operations per loop, SOR N=512",
-                                  SorKernel::program(512, 4), ctx, out);
-      }));
+      plan_sync_ops("tab3", [] { return SorKernel::program(512, 4); })));
   experiments.push_back(table_experiment(
       "tab4", "Sync operations per loop, transitive closure (640, skewed)",
-      {"tab4"}, [](const ExperimentContext& ctx, std::ostream& out) {
-        return run_sync_ops_table(
-            "tab4",
-            "sync operations per loop, transitive closure (640, skewed)",
-            TransitiveClosureKernel::program(clique_graph(640, 320)), ctx,
-            out);
-      }));
+      {"tab4"}, plan_sync_ops("tab4", [] {
+        return TransitiveClosureKernel::program(clique_graph(640, 320));
+      })));
   experiments.push_back(table_experiment(
       "tab5", "Sync operations, adjoint convolution N=75", {"tab5"},
-      [](const ExperimentContext& ctx, std::ostream& out) {
-        return run_sync_ops_table(
-            "tab5", "sync operations, adjoint convolution N=75",
-            AdjointConvolutionKernel::program(75), ctx, out);
-      }));
+      plan_sync_ops("tab5",
+                    [] { return AdjointConvolutionKernel::program(75); })));
   experiments.push_back(table_experiment(
       "tab6", "Gaussian elimination N=4096, P=16, KSR-1 model", {"tab6"},
-      run_tab6));
+      plan_tab6));
   experiments.push_back(table_experiment(
       "tab7", "Scheduler resilience vs. fault intensity (fault injection)",
-      {"tab7", "tab7_adaptive"}, run_tab7));
+      {"tab7", "tab7_adaptive"}, plan_tab7));
 }
 
 }  // namespace afs

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
+#include <utility>
 
 #include "sched/registry.hpp"
 #include "store/cell_key.hpp"
@@ -29,21 +31,99 @@ const Experiment* find_experiment(const std::string& id) {
   return nullptr;
 }
 
+std::vector<int> run_experiments(
+    const std::vector<const Experiment*>& experiments,
+    const ExperimentContext& ctx, std::ostream& out) {
+  std::vector<int> codes;
+  if (experiments.empty()) return codes;
+  const auto header = [&out](const Experiment& e) {
+    out << "== " << e.id << ": " << e.title << " ==" << std::endl;
+  };
+  // The first byte goes out before anything is planned: it is the run's
+  // set-up latency.
+  header(*experiments.front());
+
+  struct Block {
+    std::function<int(std::vector<CellOutcome>&, std::ostream&)> render;
+    std::vector<CellOutcome> outcomes;
+    std::size_t first = 0;    // index of the block's first cell in the queue
+    std::size_t pending = 0;  // cells still running or queued
+  };
+  std::vector<Block> blocks;
+  std::vector<SweepCellSpec> cells;
+  std::vector<std::size_t> owner;  // cell -> block
+  for (const Experiment* e : experiments) {
+    ExperimentPlan plan;
+    try {
+      plan = e->plan(ctx);
+    } catch (const std::exception& ex) {
+      // Reported in registry order, like any other failed render.
+      plan.render = [what = std::string(ex.what())](
+                        std::vector<CellOutcome>&, std::ostream&) -> int {
+        throw std::runtime_error(what);
+      };
+    }
+    Block b;
+    b.render = std::move(plan.render);
+    b.first = cells.size();
+    b.pending = plan.cells.size();
+    b.outcomes.resize(plan.cells.size());
+    for (SweepCellSpec& c : plan.cells) {
+      if (c.after >= 0) c.after += static_cast<int>(b.first);
+      cells.push_back(std::move(c));
+      owner.push_back(blocks.size());
+    }
+    blocks.push_back(std::move(b));
+  }
+
+  // Prints every block whose cells, and every earlier block's, are done.
+  std::size_t next = 0;
+  const auto print_ready = [&] {
+    for (; next < blocks.size() && blocks[next].pending == 0; ++next) {
+      if (ctx.cancel != nullptr && ctx.cancel->cancelled()) return;
+      const Experiment& e = *experiments[next];
+      if (next > 0) header(e);
+      Block& b = blocks[next];
+      if (ctx.on_cell_failure)
+        for (const CellOutcome& o : b.outcomes)
+          if (!o.result) ctx.on_cell_failure(e.id, o.failure);
+      int rc = EXIT_FAILURE;
+      try {
+        rc = b.render(b.outcomes, out);
+      } catch (const std::exception& ex) {
+        std::cerr << e.id << " failed: " << ex.what() << "\n";
+      }
+      out << std::flush;
+      codes.push_back(rc);
+      b = Block{};  // the block is out: release its plan and results
+    }
+  };
+  print_ready();  // blocks without cells
+
+  const bench::BenchCli& cli = ctx.cli;
+  SweepOptions sweep;
+  sweep.jobs = cli.jobs;
+  sweep.cell_timeout = cli.cell_timeout;
+  sweep.sweep_timeout = cli.sweep_timeout;
+  if (cli.cell_retries >= 0) sweep.max_retries = cli.cell_retries;
+  sweep.pool = ctx.pool;
+  sweep.cancel = ctx.cancel;
+  run_sweep(
+      std::move(cells), sweep,
+      [&](std::size_t k, CellOutcome o) {
+        Block& b = blocks[owner[k]];
+        b.outcomes[k - b.first] = std::move(o);
+        --b.pending;
+        print_ready();
+      },
+      ctx.log);
+  return codes;
+}
+
 int run_experiment(const Experiment& e, const ExperimentContext& ctx,
                    std::ostream& out) {
-  if (e.kind == ExperimentKind::kMicro) {
-    out << e.id << ": " << e.title << "\n"
-        << "(google-benchmark binary — run build/bench/bench_micro_queues "
-           "directly; not an in-process sweep)\n";
-    return EXIT_SUCCESS;
-  }
-  if (e.kind == ExperimentKind::kTable && ctx.cli.runner_flags_set()) {
-    std::cerr << e.id
-              << ": note: this table's rows are interdependent; "
-                 "--jobs/--resume/--*-timeout are accepted but the table "
-                 "runs serially without checkpoints\n";
-  }
-  return e.run(ctx, out);
+  const std::vector<int> codes = run_experiments({&e}, ctx, out);
+  return codes.empty() ? EXIT_FAILURE : codes.front();
 }
 
 Experiment figure_experiment(
@@ -55,110 +135,85 @@ Experiment figure_experiment(
   e.kind = ExperimentKind::kFigure;
   e.csv_ids = {id};
   e.make_spec = make_spec;
-  e.run = [id, make_spec = std::move(make_spec), shapes = std::move(shapes)](
-              const ExperimentContext& ctx, std::ostream& out) -> int {
-    FigureSpec spec = make_spec();
+  e.plan = [id, make_spec = std::move(make_spec),
+            shapes = std::move(shapes)](const ExperimentContext& ctx) {
+    auto spec = std::make_shared<FigureSpec>(make_spec());
     const bench::BenchCli& cli = ctx.cli;
-    if (!cli.procs.empty()) spec.procs = cli.procs;
-    spec.out_dir = cli.out_dir;
-    if (cli.time_phases) spec.sim_options.time_phases = true;
-    // Tracing is per sweep cell (each cell constructs, finalizes, or
-    // abandons its own sink inside run_figure), which is what lets
-    // --trace compose with --jobs=N and --resume.
-    spec.trace = cli.trace;
-    spec.store = ctx.store;
+    if (!cli.procs.empty()) spec->procs = cli.procs;
+    spec->out_dir = cli.out_dir;
+    if (cli.time_phases) spec->sim_options.time_phases = true;
+    spec->trace = cli.trace;
+    spec->store = ctx.store;
     // Out-of-process isolation: registered figures are rebuildable from
     // their id (grids arrive with the recipe pre-filled by
     // make_grid_experiment); a --procs override does not change the
     // recipe, because the worker is told the exact (label, P) to run.
-    spec.executor = ctx.executor;
-    if (!spec.exec.valid()) spec.exec.experiment = id;
-
-    // Every run checkpoints under <out-dir>/.sweep/<id> so a killed sweep
-    // is resumable with --resume even when the first invocation never
-    // asked for it; a clean finish costs one small file per cell.
-    SweepOptions sweep;
-    sweep.jobs = cli.jobs;
-    sweep.cell_timeout = cli.cell_timeout;
-    sweep.sweep_timeout = cli.sweep_timeout;
-    if (cli.cell_retries >= 0) sweep.max_retries = cli.cell_retries;
-    sweep.resume = cli.resume;
-    sweep.checkpoint_dir = cli.out_dir + "/.sweep/" + spec.id;
-    sweep.pool = ctx.pool;
-    sweep.cancel = ctx.cancel;
-
-    // Shape mismatches are reported but do not fail the run: they are
-    // data, recorded in EXPERIMENTS.md. Failed cells degrade gracefully —
-    // the CSV still covers every completed cell — and only an *invariant*
-    // break (a simulator bug, not a deadline) is fatal: shape checks are
-    // skipped (they assume a full grid) and the exit code stays 0 for
-    // timeouts/cancellations so batch drivers can --resume later.
-    try {
-      const FigureResult result = run_figure(spec, out, sweep);
-      if (ctx.on_cell_failure)
-        for (const CellFailure& f : result.failures) ctx.on_cell_failure(id, f);
-      if (result.failures.empty()) {
-        if (shapes) shapes(result, out);
-      } else {
-        out << "(skipping shape checks: " << result.failures.size() << " of "
-            << result.cells_total << " cells have no result)\n";
-      }
-      out << std::endl;
-      for (const CellFailure& f : result.failures)
-        if (f.kind == "invariant") return EXIT_FAILURE;
-      return EXIT_SUCCESS;
-    } catch (const std::exception& ex) {
-      std::cerr << id << " failed: " << ex.what() << "\n";
-      return EXIT_FAILURE;
-    }
+    spec->executor = ctx.executor;
+    if (!spec->exec.valid()) spec->exec.experiment = id;
+    return plan_figure(std::move(spec), shapes);
   };
   return e;
 }
 
 Experiment table_experiment(
     std::string id, std::string title, std::vector<std::string> csv_ids,
-    std::function<int(const ExperimentContext&, std::ostream&)> run) {
+    std::function<ExperimentPlan(const ExperimentContext&)> plan) {
   Experiment e;
-  e.id = std::move(id);
+  e.id = id;
   e.title = std::move(title);
   e.kind = ExperimentKind::kTable;
   e.csv_ids = std::move(csv_ids);
-  e.run = std::move(run);
+  e.plan = [id, plan = std::move(plan)](const ExperimentContext& ctx) {
+    ExperimentPlan p = plan(ctx);
+    p.render = [id, out_dir = ctx.cli.out_dir, render = std::move(p.render),
+                total = static_cast<int>(p.cells.size())](
+                   std::vector<CellOutcome>& outcomes, std::ostream& out) {
+      std::vector<CellFailure> failures;
+      for (const CellOutcome& o : outcomes)
+        if (!o.result) failures.push_back(o.failure);
+      const std::string report =
+          publish_failure_report(out_dir, id, total, failures);
+      if (failures.empty()) return render(outcomes, out);
+      out << "(" << failures.size() << " of " << total
+          << " cells failed — report: " << report << ")\n\n";
+      return EXIT_FAILURE;
+    };
+    return p;
+  };
   return e;
 }
 
-SimResult run_cell_cached(const ExperimentContext& ctx,
-                          const MachineConfig& machine,
-                          const LoopProgram& program,
-                          const std::string& sched_spec, int procs,
-                          const SimOptions& options) {
-  // Thread the context's cancellation into the simulation (the token is
-  // not part of the cell key, so cacheability is unchanged): a fired
-  // token is CancelledError at the next event boundary — the bespoke
-  // tables' path to the cancelled taxonomy.
-  SimOptions opts = options;
-  if (opts.cancel == nullptr) opts.cancel = ctx.cancel;
+SimResult run_table_cell(ResultStore* store, const MachineConfig& machine,
+                         const LoopProgram& program,
+                         const std::string& sched_spec, int procs,
+                         SimOptions options, const CancelToken& token) {
   CellKey key;
-  if (ctx.store) {
-    key = make_cell_key(machine, program.key, sched_spec, procs, opts);
-    SimResult cached;
-    if (ctx.store->load(key, cached)) return cached;
-  }
-  if (opts.cancel != nullptr && opts.cancel->cancelled())
-    throw CancelledError("cell cancelled before simulation started");
-  auto sched = make_scheduler(sched_spec);
-  SimResult r;
-  if (opts.epoch_batch) {
-    // Epoch batching: the bespoke tables re-run the same machine many
-    // times (tab6 alone runs six schedulers over one program), so ride
-    // this thread's warmed simulator instead of rebuilding per row.
-    r = warm_machine_sim(machine, opts).run(program, *sched, procs);
-  } else {
-    MachineSim sim(machine, opts);
-    r = sim.run(program, *sched, procs);
-  }
-  if (ctx.store && key.cacheable) ctx.store->save(key, r);
-  return r;
+  if (store) key = make_cell_key(machine, program.key, sched_spec, procs, options);
+  options.cancel = &token;
+  return load_or_simulate(store, key, [&] {
+    auto sched = make_scheduler(sched_spec);
+    return simulate_cell(machine, program, *sched, procs, options);
+  });
+}
+
+SweepCellSpec table_cell(const ExperimentContext& ctx, std::string label,
+                         const MachineConfig& machine,
+                         const SharedProgram& program,
+                         const std::string& sched_spec, int procs,
+                         const SimOptions& options) {
+  SweepCellSpec cell;
+  cell.label = std::move(label);
+  cell.procs = procs;
+  cell.cost = program.cost * procs;
+  if (ctx.store)
+    cell.key = key_hash(make_cell_key(machine, program.program->key,
+                                      sched_spec, procs, options));
+  cell.run = [store = ctx.store, machine, program = program.program,
+              sched_spec, procs, options](const CancelToken& token) {
+    return run_table_cell(store, machine, *program, sched_spec, procs,
+                          options, token);
+  };
+  return cell;
 }
 
 std::string scheduler_display_name(const std::string& sched_spec) {

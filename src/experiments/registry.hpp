@@ -3,14 +3,16 @@
 // "ablation_afs", "micro_queues", "trend_comm_ratio",
 // "frontier_tradeoff").
 //
-// Each entry owns its FigureSpec (or bespoke table body) and the paper
-// shape checks, so the afs_sweep driver — the one entry point, `afs_sweep
-// run <id>` — can run any subset of experiments in one process, sharing
-// one worker pool and one content-addressed result store
-// (docs/SWEEP_SERVICE.md).
+// Each entry plans its cells (a FigureSpec grid or a bespoke table's
+// rows) and renders its block and paper shape checks from their results,
+// so the afs_sweep driver — the one entry point, `afs_sweep run <id>` —
+// runs any subset of experiments as one cell queue on one worker pool
+// over one content-addressed result store (docs/SWEEP_RUNNER.md,
+// docs/SWEEP_SERVICE.md).
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -23,34 +25,37 @@ namespace afs {
 
 class ResultStore;
 class ThreadPool;
+struct CellKey;
 
 enum class ExperimentKind {
-  kFigure,  ///< a FigureSpec sweep through the crash-safe sweep runner
-  kTable,   ///< a bespoke table (interdependent rows; runs serially)
+  kFigure,  ///< a FigureSpec grid of (scheduler, P) cells
+  kTable,   ///< a bespoke table, rendered only from a complete set of cells
   kMicro,   ///< a google-benchmark binary; listed, not runnable in-process
 };
 
 /// Everything an experiment needs from its caller. The store and pool are
 /// borrowed (not owned) and optional: without a store every cell is
-/// simulated; without a pool each figure sweep builds its own workers
-/// (bespoke tables always run serially in the caller's thread).
+/// simulated; without a pool --jobs > 1 builds its own workers.
 struct ExperimentContext {
   bench::BenchCli cli;
   ResultStore* store = nullptr;
   ThreadPool* pool = nullptr;
   /// Optional caller-side cancellation (not owned): a service request
-  /// deadline or the batch driver's SIGINT/SIGTERM token. Figure sweeps
-  /// chain it under SweepOptions::cancel; bespoke tables observe it via
-  /// run_cell_cached, whose simulations raise CancelledError at the next
-  /// event boundary once it fires.
+  /// deadline or the batch driver's SIGINT/SIGTERM token. The queue
+  /// chains it under SweepOptions::cancel; once it fires, running cells
+  /// stop at the next event boundary, queued cells never start, and no
+  /// further block renders.
   const CancelToken* cancel = nullptr;
   /// Optional out-of-process cell executor (not owned): the supervised
-  /// worker sandbox under --isolation=process. Figure sweeps dispatch
-  /// store-missed, untraced, untimed cells through it; bespoke tables
+  /// worker sandbox under --isolation=process. Figure cells dispatch
+  /// store misses through it when untraced and untimed; bespoke tables
   /// (whose programs exist only as closures) always run in-process.
   CellExecutor* executor = nullptr;
+  /// Where the queue reports retries and cell failures as they happen
+  /// (not owned; null = nowhere). Blocks go to the run's own stream.
+  std::ostream* log = nullptr;
   /// Optional observer of per-cell failures, invoked once per failed cell
-  /// after each figure sweep completes (experiment id + the structured
+  /// when its experiment's block renders (experiment id + the structured
   /// failure). The daemon uses it to stream "cell_error" responses for
   /// poisoned/degraded cells without re-parsing the failure report file.
   std::function<void(const std::string&, const CellFailure&)> on_cell_failure;
@@ -63,10 +68,11 @@ struct Experiment {
   /// CSV basenames this experiment writes under out_dir (without ".csv"):
   /// usually just {id}; ablation_afs writes five.
   std::vector<std::string> csv_ids;
-  /// Runs the experiment under `ctx`, streaming human-readable progress to
-  /// the ostream. Returns a process exit code (nonzero only for invariant
-  /// breaks, never for shape mismatches — those are data).
-  std::function<int(const ExperimentContext&, std::ostream&)> run;
+  /// Splits the experiment under `ctx` into its cells and render step.
+  /// The render's exit code is nonzero only for failed cells that leave
+  /// the experiment without its result (invariant breaks; any failure in
+  /// a table), never for shape mismatches — those are data.
+  std::function<ExperimentPlan(const ExperimentContext&)> plan;
   /// Rebuilds the experiment's FigureSpec (figure experiments only; null
   /// for tables and micros). This is what lets a sandbox worker rerun one
   /// cell of a registered figure from nothing but the experiment id.
@@ -80,40 +86,68 @@ const std::vector<Experiment>& all_experiments();
 /// Lookup by id; nullptr when unknown.
 const Experiment* find_experiment(const std::string& id);
 
-/// Runs one experiment (including the kind-appropriate handling of
-/// runner flags) and returns its exit code.
+/// Runs `experiments` as one queue: prints the first one's header, plans
+/// them all, submits every cell to the one --jobs pool (costliest first;
+/// --jobs=1 runs them in the caller in registry and declaration order),
+/// and prints each block — "== id: title ==" plus its render — in the
+/// given order, as soon as it and every block before it are complete. A
+/// block's plan and results are released once it prints. Returns one
+/// exit code per printed block; fewer than experiments.size() only when
+/// ctx.cancel fired.
+std::vector<int> run_experiments(
+    const std::vector<const Experiment*>& experiments,
+    const ExperimentContext& ctx, std::ostream& out);
+
+/// run_experiments for one experiment: its exit code (1 if cancelled
+/// before its block printed).
 int run_experiment(const Experiment& e, const ExperimentContext& ctx,
                    std::ostream& out);
 
 // ---------------- helpers for registering experiments ---------------------
 
 /// Packages a lazily-built FigureSpec + shape checks as an Experiment.
-/// The run function applies the shared CLI to the spec (procs override,
-/// out-dir, --time-phases, per-cell tracing), wires in the context's
-/// store and pool, checkpoints under <out-dir>/.sweep/<id>, and reports
-/// shapes only on a complete grid.
+/// Its plan applies the shared CLI to the spec (procs override, out-dir,
+/// --time-phases, per-cell tracing) and wires in the context's store and
+/// executor (plan_figure).
 Experiment figure_experiment(
     std::string id, std::string title, std::function<FigureSpec()> make_spec,
     std::function<bool(const FigureResult&, std::ostream&)> shapes);
 
-/// Packages a bespoke table body as an Experiment. Tables with
-/// interdependent rows accept the runner flags for CLI uniformity but run
-/// serially (run_experiment prints the note when the flags are set).
+/// Packages a bespoke table as an Experiment. A table's rows are
+/// interdependent, so its render runs only on a complete set of cells;
+/// otherwise the block reports the failed cells (and
+/// <out-dir>/<id>.failures.json) and the experiment exits 1.
 Experiment table_experiment(
     std::string id, std::string title, std::vector<std::string> csv_ids,
-    std::function<int(const ExperimentContext&, std::ostream&)> run);
+    std::function<ExperimentPlan(const ExperimentContext&)> plan);
 
-/// One simulated cell, served from the context's store when possible: the
-/// bespoke tables' replacement for a shared MachineSim + sim.run() call.
-/// A fresh MachineSim per cell produces bit-identical numbers to the
-/// legacy shared instance (a run resets all per-run state), which is what
-/// makes the cell a pure function of its key. `sched_spec` must be a
-/// make_scheduler() spec string — it doubles as the scheduler's store key.
-SimResult run_cell_cached(const ExperimentContext& ctx,
-                          const MachineConfig& machine,
-                          const LoopProgram& program,
-                          const std::string& sched_spec, int procs,
-                          const SimOptions& options = {});
+/// A program shared by a table's cells, with its per-processor cost
+/// estimate (program_cost) computed once.
+struct SharedProgram {
+  explicit SharedProgram(LoopProgram p)
+      : program(std::make_shared<const LoopProgram>(std::move(p))),
+        cost(program_cost(*program)) {}
+  std::shared_ptr<const LoopProgram> program;
+  double cost;
+};
+
+/// A table cell: `sched_spec` — a make_scheduler() spec, which doubles as
+/// the scheduler's store key — running `program` on `machine` at `procs`
+/// under `options`, served from the context's store when it holds the
+/// cell, else simulated on the worker's warm simulator and published.
+/// `label` names the cell in failure reports.
+SweepCellSpec table_cell(const ExperimentContext& ctx, std::string label,
+                         const MachineConfig& machine,
+                         const SharedProgram& program,
+                         const std::string& sched_spec, int procs,
+                         const SimOptions& options = {});
+
+/// The body of a table cell, for cells whose options are only known when
+/// they run (they depend on an earlier cell's result).
+SimResult run_table_cell(ResultStore* store, const MachineConfig& machine,
+                         const LoopProgram& program,
+                         const std::string& sched_spec, int procs,
+                         SimOptions options, const CancelToken& token);
 
 /// Display name of the scheduler a spec string builds (e.g. "AFS" ->
 /// "AFS(k=P)") without running anything — the bespoke tables label rows

@@ -43,33 +43,40 @@ std::int64_t TransitiveClosureKernel::reachable_pairs() const {
   return c;
 }
 
-std::vector<std::vector<std::uint8_t>> TransitiveClosureKernel::active_trace(
-    BoolMatrix graph) {
+BitMatrix TransitiveClosureKernel::active_trace(const BoolMatrix& graph) {
   const std::int64_t n = graph.rows();
-  std::vector<std::vector<std::uint8_t>> active(
-      static_cast<std::size_t>(n),
-      std::vector<std::uint8_t>(static_cast<std::size_t>(n), 0));
+  BitMatrix closure(n, n);
+  for (std::int64_t j = 0; j < n; ++j)
+    for (std::int64_t i = 0; i < n; ++i)
+      if (graph(j, i)) closure.set(j, i);
+
+  // Epoch k reads column k as it stands when the epoch starts. Only
+  // iteration j writes row j, and row k itself is never updated in epoch
+  // k (j == k is a no-op), so testing bit (j, k) just before iteration j
+  // ORs row k into row j sees the epoch-start value.
+  BitMatrix active(n, n);
   for (std::int64_t k = 0; k < n; ++k) {
-    for (std::int64_t j = 0; j < n; ++j)
-      active[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)] =
-          graph(j, k);
+    const std::span<std::uint64_t> row_k = closure.row(k);
     for (std::int64_t j = 0; j < n; ++j) {
-      if (!graph(j, k) || j == k) continue;
-      for (std::int64_t i = 0; i < n; ++i)
-        if (graph(k, i)) graph(j, i) = 1;
+      if (!closure.test(j, k)) continue;
+      active.set(k, j);
+      if (j == k) continue;
+      const std::span<std::uint64_t> row_j = closure.row(j);
+      for (std::size_t w = 0; w < row_j.size(); ++w) row_j[w] |= row_k[w];
     }
   }
   return active;
 }
 
-LoopProgram TransitiveClosureKernel::program(const BoolMatrix& graph,
-                                             double work_per_element) {
+LoopProgram TransitiveClosureKernel::program(
+    const BoolMatrix& graph, double work_per_element,
+    std::shared_ptr<const BitMatrix> trace) {
   const std::int64_t n = graph.rows();
   // A boolean row moves far fewer bytes than a double row: with 2-byte
   // logicals, n entries = n/4 transfer units (one unit = 8 bytes).
   const double row_units = static_cast<double>(n) / 4.0;
-  auto trace = std::make_shared<std::vector<std::vector<std::uint8_t>>>(
-      active_trace(graph));
+  if (trace == nullptr)
+    trace = std::make_shared<const BitMatrix>(active_trace(graph));
 
   LoopProgram p;
   p.name = "tc-" + std::to_string(n);
@@ -87,13 +94,12 @@ LoopProgram TransitiveClosureKernel::program(const BoolMatrix& graph,
     ParallelLoopSpec spec;
     spec.n = n;
     spec.work = [n, work_per_element, trace, k](std::int64_t j) {
-      return (*trace)[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)]
-                 ? static_cast<double>(n) * work_per_element
-                 : 1.0;
+      return trace->test(k, j) ? static_cast<double>(n) * work_per_element
+                               : 1.0;
     };
     spec.footprint = [row_units, trace, k](std::int64_t j,
                                            std::vector<BlockAccess>& out) {
-      if (!(*trace)[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)])
+      if (!trace->test(k, j))
         return;  // inactive iteration: the O(1) edge test touches nothing big
       out.push_back({static_cast<std::int64_t>(k), row_units, false});
       out.push_back({j, row_units, true});

@@ -15,9 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "runtime/parallel_for.hpp"
+#include "util/bit_matrix.hpp"
 #include "workload/graphs.hpp"
 #include "workload/loop_spec.hpp"
 
@@ -37,13 +38,16 @@ class TransitiveClosureKernel {
   /// when epoch K starts?) depends on the algorithm's own progress, so it
   /// is captured by running the serial algorithm once and recording a
   /// trace — the simulated costs then follow the real data-dependent
-  /// execution exactly.
+  /// execution exactly. Pass `trace` (active_trace of the same graph) to
+  /// share one closure with a BEST-STATIC oracle; null computes it.
   static LoopProgram program(const BoolMatrix& graph,
-                             double work_per_element = 2.0);
+                             double work_per_element = 2.0,
+                             std::shared_ptr<const BitMatrix> trace = {});
 
-  /// Oracle per-iteration costs for BEST-STATIC at epoch k, from the same
-  /// trace machinery.
-  static std::vector<std::vector<std::uint8_t>> active_trace(BoolMatrix graph);
+  /// The activity trace: bit (k, j) is set when iteration j of epoch k
+  /// does real work, i.e. edge (j, k) is present as epoch k starts. The
+  /// closure ORs whole rows 64 entries per word: O(n^3 / 64).
+  static BitMatrix active_trace(const BoolMatrix& graph);
 
  private:
   std::int64_t n_;

@@ -1,22 +1,21 @@
 #include "runtime/sweep_runner.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "runtime/cell_executor.hpp"
 #include "runtime/thread_pool.hpp"
-#include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -25,23 +24,6 @@ namespace afs {
 namespace {
 
 constexpr const char* kCellSchema = "afs-cell-v1";
-constexpr const char* kManifestSchema = "afs-sweep-manifest-v1";
-constexpr const char* kManifestName = "MANIFEST";
-
-/// The sweep's identity: its id plus the full cell grid (and the cell
-/// schema version, so a format change invalidates old checkpoints). A
-/// manifest whose identity differs describes a different sweep — its
-/// checkpoints must not be merged into this one.
-std::string sweep_identity(const std::string& sweep_id,
-                           const std::vector<SweepCellSpec>& cells) {
-  std::uint64_t h = fnv1a64(kCellSchema);
-  h = fnv1a64(sweep_id, h);
-  for (const SweepCellSpec& c : cells) {
-    h = fnv1a64(c.label, h);
-    h = fnv1a64(std::to_string(c.procs), h);
-  }
-  return hex64(h);
-}
 
 std::string fmt_double(double v) {
   char buf[48];
@@ -71,11 +53,6 @@ std::string json_escaped(const std::string& s) {
   return out;
 }
 
-double elapsed_s(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 std::string fmt_secs(double s, int precision = 2) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.*f", precision, s);
@@ -93,12 +70,6 @@ void SweepOptions::validate() const {
   AFS_CHECK_MSG(backoff_base >= 0.0, "SweepOptions.backoff_base < 0");
   AFS_CHECK_MSG(backoff_max >= backoff_base,
                 "SweepOptions.backoff_max < backoff_base");
-}
-
-bool SweepOutcome::invariant_break() const {
-  for (const CellFailure& f : failures)
-    if (f.kind == "invariant") return true;
-  return false;
 }
 
 double retry_backoff(const SweepOptions& opts, const std::string& label,
@@ -245,29 +216,21 @@ bool parse_sim_result(const std::string& text, SimResult& out) {
   return true;
 }
 
-std::string cell_checkpoint_path(const std::string& dir,
-                                 const std::string& label, int procs) {
-  std::string safe;
-  safe.reserve(label.size());
-  for (char c : label)
-    safe += (std::isalnum(static_cast<unsigned char>(c)) || c == '-' ||
-             c == '.')
-                ? c
-                : '_';
-  return dir + "/" + safe + "-" + hex64(fnv1a64(label)).substr(8) + "_P" +
-         std::to_string(procs) + ".cell";
-}
-
-std::string failure_report_json(const std::string& sweep_id,
-                                const SweepOutcome& outcome) {
+std::string failure_report_json(const std::string& sweep_id, int cells_total,
+                                std::vector<CellFailure> failures) {
+  std::sort(failures.begin(), failures.end(),
+            [](const CellFailure& a, const CellFailure& b) {
+              return a.label != b.label ? a.label < b.label
+                                        : a.procs < b.procs;
+            });
   std::ostringstream os;
   os << "{\"schema\":\"afs-sweep-failures-v1\",\"sweep\":\""
-     << json_escaped(sweep_id) << "\",\"cells_total\":" << outcome.cells_total
+     << json_escaped(sweep_id) << "\",\"cells_total\":" << cells_total
      << ",\"cells_completed\":"
-     << outcome.cells_total - static_cast<int>(outcome.failures.size())
-     << ",\"cells_failed\":" << outcome.failures.size() << ",\"failures\":[";
-  for (std::size_t k = 0; k < outcome.failures.size(); ++k) {
-    const CellFailure& f = outcome.failures[k];
+     << cells_total - static_cast<int>(failures.size())
+     << ",\"cells_failed\":" << failures.size() << ",\"failures\":[";
+  for (std::size_t k = 0; k < failures.size(); ++k) {
+    const CellFailure& f = failures[k];
     if (k) os << ',';
     os << "{\"scheduler\":\"" << json_escaped(f.label)
        << "\",\"procs\":" << f.procs << ",\"kind\":\"" << json_escaped(f.kind)
@@ -280,217 +243,215 @@ std::string failure_report_json(const std::string& sweep_id,
 
 namespace {
 
-/// Removes every per-cell checkpoint (and stray temp file) under `dir`.
-void clear_checkpoints(const std::filesystem::path& dir) {
-  std::error_code ec;
-  for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = e.path().filename().string();
-    if (name.size() >= 5 && (name.ends_with(".cell") ||
-                             name.ends_with(".cell.tmp")))
-      std::filesystem::remove(e.path(), ec);
+/// One cell's attempts: deadline, retry with backoff, failure taxonomy.
+CellOutcome attempt_cell(const SweepCellSpec& cell,
+                         const CancelToken& queue_token,
+                         const SweepOptions& opts, std::mutex& log_mu,
+                         std::ostream* log) {
+  CellOutcome out;
+  const auto fail = [&](const char* kind, std::string message, int attempts) {
+    out.failure = {cell.label, cell.procs, kind, std::move(message), attempts};
+    // Cells that never started are counted in the failure reports; a
+    // cancelled run would otherwise log one line per queued cell.
+    if (log && attempts > 0) {
+      std::scoped_lock lock(log_mu);
+      *log << "  " << cell.label << " P=" << cell.procs << ": FAILED [" << kind
+           << "] after " << attempts << " attempt(s): " << out.failure.message
+           << "\n";
+    }
+    return out;
+  };
+  for (int attempts = 0;;) {
+    if (queue_token.cancelled())
+      return fail("cancelled", "run deadline/abort fired", attempts);
+    ++attempts;
+    CancelToken token(&queue_token);
+    if (opts.cell_timeout > 0.0) token.set_timeout(opts.cell_timeout);
+    try {
+      out.result = cell.run(token);
+      return out;
+    } catch (const CancelledError& e) {
+      // A queue-wide cancellation and a cell deadline both surface here;
+      // the queue token disambiguates. Neither is retried — a timed-out
+      // cell would time out again.
+      return fail(queue_token.cancelled() ? "cancelled" : "timeout", e.what(),
+                  attempts);
+    } catch (const CheckFailure& e) {
+      // Broken invariant: deterministic, never transient. Not retried.
+      return fail("invariant", e.what(), attempts);
+    } catch (const PoisonedCellError& e) {
+      // The cell is blacklisted by its executor (it crashed workers
+      // repeatedly): deterministic for the executor's lifetime, so a
+      // retry would only burn another restart token. Not retried.
+      return fail("poison", e.what(), attempts);
+    } catch (const DegradedError& e) {
+      // The executor is in cache-only mode (restart budget exhausted).
+      // Recovery is time-based, not attempt-based — retrying here would
+      // spin against an empty token bucket. Not retried.
+      return fail("degraded", e.what(), attempts);
+    } catch (const std::exception& e) {
+      if (attempts > opts.max_retries) return fail("error", e.what(), attempts);
+      const double delay =
+          retry_backoff(opts, cell.label, cell.procs, attempts);
+      if (log) {
+        std::scoped_lock lock(log_mu);
+        *log << "  " << cell.label << " P=" << cell.procs << ": attempt "
+             << attempts << " failed (" << e.what() << "); retrying in "
+             << fmt_secs(delay, 3) << "s\n";
+      }
+      if (opts.sleep_fn)
+        opts.sleep_fn(delay);
+      else
+        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+    } catch (...) {
+      return fail("error", "non-standard exception", attempts);
+    }
   }
-  std::filesystem::remove(dir / kManifestName, ec);
 }
 
-bool manifest_matches(const std::filesystem::path& dir,
-                      const std::string& identity) {
-  std::ifstream in(dir / kManifestName);
-  if (!in) return false;
-  std::string schema, key, value;
-  if (!std::getline(in, schema) || schema != kManifestSchema) return false;
-  while (in >> key >> value)
-    if (key == "identity") return value == identity;
-  return false;
+/// The outcome of a cell that runs after failed cell `pred`: it never
+/// starts, and inherits the failure's kind.
+CellOutcome inherited_failure(const SweepCellSpec& cell,
+                              const SweepCellSpec& pred,
+                              const CellFailure& cause) {
+  CellOutcome out;
+  out.failure = {cell.label, cell.procs, cause.kind,
+                 "runs after " + pred.label + " P=" +
+                     std::to_string(pred.procs) + ", which failed: " +
+                     cause.message,
+                 0};
+  return out;
 }
-
-std::string manifest_content(const std::string& sweep_id,
-                             const std::vector<SweepCellSpec>& cells,
-                             const std::string& identity) {
-  std::ostringstream os;
-  os << kManifestSchema << '\n'
-     << "sweep " << sweep_id << '\n'
-     << "cells " << cells.size() << '\n'
-     << "identity " << identity << '\n';
-  return os.str();
-}
-
-enum class CellState : char { kPending, kOk, kFailed };
 
 }  // namespace
 
-SweepOutcome run_sweep(const std::string& sweep_id,
-                       const std::vector<SweepCellSpec>& cells,
-                       const SweepOptions& opts, std::ostream* log) {
+void run_sweep(std::vector<SweepCellSpec> cells, const SweepOptions& opts,
+               const CellDoneFn& on_done, std::ostream* log) {
   opts.validate();
-  for (std::size_t a = 0; a < cells.size(); ++a) {
-    AFS_CHECK_MSG(cells[a].run != nullptr && !cells[a].label.empty(),
-                  "sweep cell " << a << " has no runner or empty label");
-    for (std::size_t b = a + 1; b < cells.size(); ++b)
-      AFS_CHECK_MSG(cells[a].label != cells[b].label ||
-                        cells[a].procs != cells[b].procs,
-                    "duplicate sweep cell (" << cells[a].label << ", P="
-                                             << cells[a].procs << ")");
-  }
+  const std::size_t n = cells.size();
 
-  SweepOutcome outcome;
-  outcome.cells_total = static_cast<int>(cells.size());
-  std::vector<CellState> state(cells.size(), CellState::kPending);
-
-  // ---- checkpoint directory: load (resume) or reset (cold start) ----
-  const bool ckpt = !opts.checkpoint_dir.empty();
-  const std::filesystem::path dir(opts.checkpoint_dir);
-  if (ckpt) {
-    std::filesystem::create_directories(dir);
-    const std::string identity = sweep_identity(sweep_id, cells);
-    const bool match = manifest_matches(dir, identity);
-    if (opts.resume && match) {
-      for (std::size_t k = 0; k < cells.size(); ++k) {
-        std::ifstream in(
-            cell_checkpoint_path(opts.checkpoint_dir, cells[k].label,
-                                 cells[k].procs));
-        if (!in) continue;
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        SimResult r;
-        if (!parse_sim_result(buf.str(), r)) continue;  // corrupt: recompute
-        outcome.results[cells[k].label][cells[k].procs] = r;
-        state[k] = CellState::kOk;
-        ++outcome.cells_resumed;
+  // Edges: an explicit `after`, else a repeated key's first instance.
+  std::vector<std::vector<std::size_t>> dependents(n);
+  {
+    std::unordered_map<std::uint64_t, std::size_t> first;
+    for (std::size_t k = 0; k < n; ++k) {
+      SweepCellSpec& c = cells[k];
+      AFS_CHECK_MSG(c.run != nullptr && !c.label.empty(),
+                    "cell " << k << " has no runner or empty label");
+      AFS_CHECK_MSG(c.after < static_cast<int>(k),
+                    "cell " << k << " runs after a later cell " << c.after);
+      if (c.key != 0) {
+        const auto [it, fresh] = first.emplace(c.key, k);
+        if (!fresh && c.after < 0) c.after = static_cast<int>(it->second);
       }
-      if (log)
-        *log << "  [sweep " << sweep_id << "] resumed " << outcome.cells_resumed
-             << "/" << cells.size() << " cells from " << opts.checkpoint_dir
-             << "\n";
-    } else {
-      if (opts.resume && log)
-        *log << "  [sweep " << sweep_id << "] no matching checkpoint manifest"
-             << " in " << opts.checkpoint_dir << "; recomputing all cells\n";
-      clear_checkpoints(dir);
-      write_file_atomic((dir / kManifestName).string(),
-                        manifest_content(sweep_id, cells, identity));
+      if (c.after >= 0)
+        dependents[static_cast<std::size_t>(c.after)].push_back(k);
     }
   }
 
-  // ---- execute the remaining cells ----
-  CancelToken sweep_token(opts.cancel);
-  if (opts.sweep_timeout > 0.0) sweep_token.set_timeout(opts.sweep_timeout);
+  CancelToken queue_token(opts.cancel);
+  if (opts.sweep_timeout > 0.0) queue_token.set_timeout(opts.sweep_timeout);
+  std::mutex log_mu;
+  // Failed cells, kept for the cells that run after them.
+  std::vector<std::optional<CellFailure>> failed(n);
 
-  std::mutex mu;  // guards outcome, state and log
-
-  auto record_failure = [&](std::size_t k, std::string kind,
-                            std::string message, int attempts) {
-    std::scoped_lock lock(mu);
-    state[k] = CellState::kFailed;
-    outcome.failures.push_back({cells[k].label, cells[k].procs,
-                                std::move(kind), std::move(message), attempts});
-    const CellFailure& f = outcome.failures.back();
-    if (log)
-      *log << "  " << f.label << " P=" << f.procs << ": FAILED [" << f.kind
-           << "] after " << f.attempts << " attempt(s): " << f.message << "\n";
-  };
-
-  auto run_cell = [&](std::size_t k) {
-    const SweepCellSpec& cell = cells[k];
-    const auto cell_start = std::chrono::steady_clock::now();
-    int attempts = 0;
-    for (;;) {
-      if (sweep_token.cancelled()) {
-        record_failure(k, "cancelled", "sweep deadline/abort fired", attempts);
-        return;
-      }
-      ++attempts;
-      CancelToken token(&sweep_token);
-      if (opts.cell_timeout > 0.0) token.set_timeout(opts.cell_timeout);
-      try {
-        SimResult r = cell.run(token);
-        if (ckpt)
-          write_file_atomic(
-              cell_checkpoint_path(opts.checkpoint_dir, cell.label, cell.procs),
-              serialize_sim_result(r));
-        std::scoped_lock lock(mu);
-        state[k] = CellState::kOk;
-        outcome.results[cell.label][cell.procs] = std::move(r);
-        if (log)
-          *log << "  " << cell.label << " P=" << cell.procs << ": done ("
-               << fmt_secs(elapsed_s(cell_start)) << "s"
-               << (attempts > 1 ? ", retried" : "") << ")\n";
-        return;
-      } catch (const CancelledError& e) {
-        // Sweep-wide cancellation and a cell deadline both surface here;
-        // the sweep token disambiguates. Neither is retried — a timed-out
-        // cell would time out again.
-        record_failure(k, sweep_token.cancelled() ? "cancelled" : "timeout",
-                       e.what(), attempts);
-        return;
-      } catch (const CheckFailure& e) {
-        // Broken invariant: deterministic, never transient. Not retried.
-        record_failure(k, "invariant", e.what(), attempts);
-        return;
-      } catch (const PoisonedCellError& e) {
-        // The cell is blacklisted by its executor (it crashed workers
-        // repeatedly): deterministic for the executor's lifetime, so a
-        // retry would only burn another restart token. Not retried.
-        record_failure(k, "poison", e.what(), attempts);
-        return;
-      } catch (const DegradedError& e) {
-        // The executor is in cache-only mode (restart budget exhausted).
-        // Recovery is time-based, not attempt-based — retrying here would
-        // spin against an empty token bucket. Not retried.
-        record_failure(k, "degraded", e.what(), attempts);
-        return;
-      } catch (const std::exception& e) {
-        if (attempts > opts.max_retries) {
-          record_failure(k, "error", e.what(), attempts);
-          return;
-        }
-        const double delay =
-            retry_backoff(opts, cell.label, cell.procs, attempts);
-        if (log) {
-          std::scoped_lock lock(mu);
-          *log << "  " << cell.label << " P=" << cell.procs << ": attempt "
-               << attempts << " failed (" << e.what() << "); retrying in "
-               << fmt_secs(delay, 3) << "s\n";
-        }
-        if (opts.sleep_fn)
-          opts.sleep_fn(delay);
-        else
-          std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-      }
-    }
+  const auto run_one = [&](std::size_t k) {
+    const SweepCellSpec& c = cells[k];
+    if (c.after >= 0 && failed[static_cast<std::size_t>(c.after)])
+      return inherited_failure(c, cells[static_cast<std::size_t>(c.after)],
+                               *failed[static_cast<std::size_t>(c.after)]);
+    return attempt_cell(c, queue_token, opts, log_mu, log);
   };
 
   if (opts.jobs == 1) {
     // Serial mode runs in the caller's thread in declaration order — the
-    // exact legacy execution order, kept as the bit-identity reference.
-    for (std::size_t k = 0; k < cells.size(); ++k)
-      if (state[k] == CellState::kPending) run_cell(k);
-  } else {
-    // A borrowed pool (driver-wide) or a private one per sweep. Either
-    // way the pool's cancel token is scoped to this sweep: installed
-    // before submission, cleared after the drain so the next sweep on a
-    // shared pool starts with a clean slate.
-    std::optional<ThreadPool> own;
-    ThreadPool& pool = opts.pool ? *opts.pool : own.emplace(opts.jobs);
-    pool.set_cancel(&sweep_token);
-    for (std::size_t k = 0; k < cells.size(); ++k)
-      if (state[k] == CellState::kPending)
-        pool.submit([&run_cell, k] { run_cell(k); });
-    pool.drain();
-    pool.set_cancel(nullptr);
+    // bit-identity reference ordering. Every edge points backwards, so
+    // each cell's predecessor has already finished.
+    for (std::size_t k = 0; k < n; ++k) {
+      CellOutcome o = run_one(k);
+      cells[k].run = nullptr;
+      if (!o.result) failed[k] = o.failure;
+      on_done(k, std::move(o));
+    }
+    return;
   }
 
-  // Cells the pool discarded after a sweep-wide cancellation never ran.
-  for (std::size_t k = 0; k < cells.size(); ++k)
-    if (state[k] == CellState::kPending)
-      record_failure(k, "cancelled", "sweep cancelled before the cell started",
-                     0);
+  // Pooled mode: the ready cells sit in a max-heap by cost; a cell joins
+  // it once its predecessor finishes. Workers pop the costliest; the
+  // caller's thread only hands outcomes to on_done.
+  std::mutex mu;
+  std::condition_variable work_cv, done_cv;
+  const auto costlier = [&cells](std::size_t a, std::size_t b) {
+    return cells[a].cost != cells[b].cost ? cells[a].cost < cells[b].cost
+                                          : a > b;
+  };
+  std::vector<std::size_t> ready;
+  for (std::size_t k = 0; k < n; ++k)
+    if (cells[k].after < 0) ready.push_back(k);
+  std::make_heap(ready.begin(), ready.end(), costlier);
+  std::deque<std::pair<std::size_t, CellOutcome>> finished;
+  int running = 0;
 
-  std::sort(outcome.failures.begin(), outcome.failures.end(),
-            [](const CellFailure& a, const CellFailure& b) {
-              return a.label != b.label ? a.label < b.label
-                                        : a.procs < b.procs;
-            });
-  return outcome;
+  // Pre: mu held. Files cell k's outcome and releases its dependents.
+  const auto complete = [&](std::size_t k, CellOutcome o) {
+    if (!o.result) failed[k] = o.failure;
+    finished.emplace_back(k, std::move(o));
+    for (std::size_t d : dependents[k]) {
+      ready.push_back(d);
+      std::push_heap(ready.begin(), ready.end(), costlier);
+    }
+    work_cv.notify_all();
+    done_cv.notify_one();
+  };
+
+  const auto worker = [&] {
+    std::unique_lock lock(mu);
+    for (;;) {
+      if (ready.empty()) {
+        // Nothing ready and nothing running: every cell has finished.
+        if (running == 0) return;
+        work_cv.wait(lock);
+        continue;
+      }
+      std::pop_heap(ready.begin(), ready.end(), costlier);
+      const std::size_t k = ready.back();
+      ready.pop_back();
+      ++running;
+      lock.unlock();
+      CellOutcome o = run_one(k);
+      cells[k].run = nullptr;
+      lock.lock();
+      --running;
+      complete(k, std::move(o));
+    }
+  };
+
+  std::optional<ThreadPool> own;
+  ThreadPool& pool = opts.pool ? *opts.pool : own.emplace(opts.jobs);
+  const std::size_t workers =
+      std::min(n, static_cast<std::size_t>(pool.size()));
+  for (std::size_t w = 0; w < workers; ++w) pool.submit(worker);
+
+  try {
+    for (std::size_t reported = 0; reported < n;) {
+      std::deque<std::pair<std::size_t, CellOutcome>> batch;
+      {
+        std::unique_lock lock(mu);
+        done_cv.wait(lock, [&] { return !finished.empty(); });
+        batch.swap(finished);
+      }
+      for (auto& [k, o] : batch) {
+        on_done(k, std::move(o));
+        ++reported;
+      }
+    }
+  } catch (...) {
+    // The workers still reference this frame: stop them before unwinding.
+    queue_token.cancel();
+    pool.drain();
+    throw;
+  }
+  pool.drain();
 }
 
 }  // namespace afs

@@ -485,10 +485,6 @@ void SweepDaemon::execute(std::unique_ptr<ServiceRequest> r) {
   cli.jobs = opts_.jobs;
   cli.cell_timeout = opts_.cell_timeout;
   if (opts_.cell_retries >= 0) cli.cell_retries = opts_.cell_retries;
-  // Resume is always on in serve mode: between the store and the sweep
-  // checkpoints, a re-issued request after any kind of crash recomputes
-  // only what was genuinely never finished.
-  cli.resume = true;
 
   std::vector<const Experiment*> experiments;
   Experiment grid_exp;  // keeps the grid's closure alive while running
@@ -556,23 +552,22 @@ void SweepDaemon::execute(std::unique_ptr<ServiceRequest> r) {
   LogLineBuf logbuf(r->conn.get(), r->seq, tag);
   std::ostream logstream(&logbuf);
 
+  // One queue per request: every cell of its experiments on the shared
+  // pool, blocks streamed back in order as they complete.
   int worst_exit = 0;
   std::string experiments_json = "[";
   bool internal_error = false;
   std::string internal_message;
-  for (std::size_t i = 0; i < experiments.size(); ++i) {
+  std::vector<int> exit_codes;
+  try {
+    exit_codes = run_experiments(experiments, ctx, logstream);
+  } catch (const std::exception& ex) {
+    internal_error = true;
+    internal_message = ex.what();
+  }
+  for (std::size_t i = 0; i < exit_codes.size(); ++i) {
     const Experiment* exp = experiments[i];
-    if (r->cancel.cancelled()) break;
-    int exit_code = 0;
-    try {
-      exit_code = run_experiment(*exp, ctx, logstream);
-    } catch (const CancelledError&) {
-      break;  // classified below from the token
-    } catch (const std::exception& ex) {
-      internal_error = true;
-      internal_message = ex.what();
-      break;
-    }
+    const int exit_code = exit_codes[i];
     if (exit_code > worst_exit) worst_exit = exit_code;
     if (experiments_json.size() > 1) experiments_json += ",";
     experiments_json += "{\"id\":" + json_quote(exp->id) +

@@ -17,7 +17,7 @@
 //     deadline that propagates into the CancelToken chain: an expired
 //     request cancels its queued cells without poisoning the shared pool;
 //   * graceful drain — SIGTERM/SIGINT stop admission, finish (or, after
-//     --drain-timeout, cancel) in-flight work, flush checkpoints, log the
+//     --drain-timeout, cancel) in-flight work, log the
 //     counters and exit 0;
 //   * crash recovery — state lives in the content-addressed store, so a
 //     SIGKILLed daemon restarted over the same .store serves re-issued

@@ -12,7 +12,7 @@ namespace afs {
 /// Host wall-clock phase breakdown of one engine run, in seconds.
 /// Collected only when SimOptions::time_phases is set; all-zero otherwise.
 /// This measures the simulator itself, not the simulated machine: the
-/// fields are excluded from sweep checkpoints and from every determinism
+/// fields are excluded from store entries and from every determinism
 /// comparison (a timed run still produces bit-identical simulated
 /// results). The instrumentation inflates exactly the phases it brackets,
 /// so read the *fractions*, not the absolute sums.
@@ -85,7 +85,7 @@ struct SimResult {
   double trace_imbalance = -1.0;       ///< max/mean exec time - 1 across procs
 
   /// Host wall-clock phase breakdown (opt-in via SimOptions::time_phases;
-  /// all-zero otherwise). Not simulated state: never checkpointed, never
+  /// all-zero otherwise). Not simulated state: never stored, never
   /// part of a determinism comparison.
   EnginePhaseTimers timers;
 

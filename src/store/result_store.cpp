@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "runtime/sweep_runner.hpp"  // serialize_sim_result / parse_sim_result
@@ -115,18 +114,6 @@ bool parse_entry(const std::string& content, const CellKey& key,
   if (e.key_text != key.text) return false;
   out = e.result;
   return true;
-}
-
-/// A temp name unique per (process, thread, call), so concurrent writers
-/// of the same key never share a temp file.
-std::string unique_tmp_path(const std::string& final_path) {
-  static std::atomic<std::uint64_t> counter{0};
-  const std::uint64_t tid =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  std::ostringstream os;
-  os << final_path << ".tmp." << ::getpid() << '.' << hex64(tid).substr(8)
-     << '.' << counter.fetch_add(1);
-  return os.str();
 }
 
 struct EntryInfo {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/binary_sink.hpp"
 #include "trace/trace_record.hpp"
 
 namespace afs {
@@ -85,14 +86,60 @@ struct TraceAnalysis {
   }
 };
 
-/// Analyzes a record sequence, returning one TraceAnalysis per run
-/// (a file normally holds a single run_begin..run_end span, but the
-/// sink allows several back to back). Memory is proportional to the
-/// records, whatever sizes they claim. Throws std::runtime_error on
-/// sequences that violate the schema (events outside a run, an
-/// out-of-range processor, a negative loop size or an inverted
-/// [begin, end) range, missing run_end) or whose iteration counts
-/// overflow.
+/// Analyzes a record stream one record at a time, yielding one
+/// TraceAnalysis per run (a file normally holds a single run_begin..
+/// run_end span, but the sink allows several back to back). Memory is
+/// proportional to one epoch's chunk records, whatever sizes they claim.
+/// add() throws std::runtime_error on records that violate the schema
+/// (events outside a run, an out-of-range processor, a negative loop size
+/// or an inverted [begin, end) range) or whose iteration counts overflow;
+/// finish() throws when the last run has no run_end.
+class TraceAnalyzer {
+ public:
+  void add(const TraceRecord& r);
+  std::vector<TraceAnalysis> finish();
+
+ private:
+  /// One chunk's iterations, clipped to its loop, and who executed them.
+  struct OwnedSpan {
+    std::int64_t begin;
+    std::int64_t end;
+    int proc;
+  };
+
+  ProcBreakdown& proc_of(int proc);
+  void score_span(const OwnedSpan& s);
+
+  std::vector<TraceAnalysis> done_;
+  TraceAnalysis run_;
+  bool in_run_ = false;
+  // Who executed which iterations, for the affinity score: the previous
+  // epoch's chunk spans sorted by begin, the current epoch's in record
+  // order.
+  std::vector<OwnedSpan> prev_spans_;
+  std::vector<OwnedSpan> cur_spans_;
+  std::int64_t cur_n_ = 0;  // size of the current loop
+};
+
+/// A sink that analyzes its runs in memory as the simulator narrates
+/// them — the record stream a .cctrace of the same runs decodes to — and
+/// optionally tees every record into a .cctrace writer.
+class TraceAnalysisSink final : public TraceRecordSink {
+ public:
+  explicit TraceAnalysisSink(BinaryTraceSink* tee = nullptr) : tee_(tee) {}
+
+  void record(const TraceRecord& r) override {
+    analyzer_.add(r);
+    if (tee_ != nullptr) tee_->record(r);
+  }
+  std::vector<TraceAnalysis> finish() { return analyzer_.finish(); }
+
+ private:
+  TraceAnalyzer analyzer_;
+  BinaryTraceSink* tee_;
+};
+
+/// TraceAnalyzer over a whole record sequence.
 std::vector<TraceAnalysis> analyze_trace(
     const std::vector<TraceRecord>& records);
 

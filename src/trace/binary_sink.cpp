@@ -27,9 +27,8 @@ BinaryTraceSink::BinaryTraceSink(std::ostream& out) : out_(&out) {
 }
 
 BinaryTraceSink::BinaryTraceSink(const std::string& path)
-    : file_(path + ".tmp", std::ios::binary | std::ios::trunc),
-      out_(&file_),
-      final_path_(path) {
+    : out_(&file_), final_path_(path), tmp_path_(unique_tmp_path(path)) {
+  file_.open(tmp_path_, std::ios::binary | std::ios::trunc);
   if (!file_) throw std::runtime_error("cannot open trace file: " + path);
   buf_.append(reinterpret_cast<const char*>(kMagic), sizeof kMagic);
   bytes_ += static_cast<std::int64_t>(sizeof kMagic);
@@ -42,14 +41,14 @@ void BinaryTraceSink::finalize() {
   file_.flush();
   if (!file_) throw std::runtime_error("trace write failed: " + path);
   file_.close();
-  commit_file_atomic(path + ".tmp", path);
+  commit_file_atomic(tmp_path_, path);
 }
 
 void BinaryTraceSink::abandon() {
   if (final_path_.empty()) return;
   const std::string path = std::exchange(final_path_, std::string());
   file_.close();
-  std::remove((path + ".tmp").c_str());
+  std::remove(tmp_path_.c_str());
 }
 
 BinaryTraceSink::~BinaryTraceSink() {
@@ -116,119 +115,102 @@ std::uint64_t BinaryTraceSink::intern(const std::string& s) {
   return id;
 }
 
-void BinaryTraceSink::on_run_begin(const MachineConfig& m,
-                                   const std::string& program,
-                                   const std::string& scheduler, int p) {
-  // Definitions for any new strings go out before the record's opcode,
-  // so the reader has resolved every id by the time it decodes the body.
-  const std::uint64_t machine_id = intern(m.name);
-  const std::uint64_t program_id = intern(program);
-  const std::uint64_t scheduler_id = intern(scheduler);
-  op(TraceEv::kRunBegin);
-  put_varint(machine_id);
-  put_varint(program_id);
-  put_varint(scheduler_id);
-  put_varint(static_cast<std::uint64_t>(p));
-}
-
-void BinaryTraceSink::on_loop_begin(int epoch, std::int64_t n, int p) {
-  op(TraceEv::kLoopBegin);
-  put_varint(static_cast<std::uint64_t>(epoch));
-  put_varint(static_cast<std::uint64_t>(n));
-  put_varint(static_cast<std::uint64_t>(p));
-}
-
-void BinaryTraceSink::on_grab(int proc, const Grab& g, double t0, double t1) {
-  op(TraceEv::kGrab);
-  put_varint(static_cast<std::uint64_t>(proc));
-  put_u8(static_cast<std::uint8_t>(g.kind));
-  put_svarint(g.queue);
-  put_svarint(g.range.begin);
-  put_svarint(g.range.end);
-  put_time(t0);
-  put_time(t1);
-}
-
-void BinaryTraceSink::on_chunk(int proc, std::int64_t begin, std::int64_t end,
-                               double t0, double t1) {
-  op(TraceEv::kChunk);
-  put_varint(static_cast<std::uint64_t>(proc));
-  put_svarint(begin);
-  put_svarint(end);
-  put_time(t0);
-  put_time(t1);
-}
-
-void BinaryTraceSink::on_miss(int proc, const BlockAccess& a, double t0,
-                              double t1) {
-  op(TraceEv::kMiss);
-  put_varint(static_cast<std::uint64_t>(proc));
-  put_svarint(a.block);
-  put_value(a.size);
-  put_time(t0);
-  put_time(t1);
-}
-
-void BinaryTraceSink::on_invalidate(int proc, std::int64_t block, int copies,
-                                    double t0, double t1) {
-  op(TraceEv::kInval);
-  put_varint(static_cast<std::uint64_t>(proc));
-  put_svarint(block);
-  put_varint(static_cast<std::uint64_t>(copies));
-  put_time(t0);
-  put_time(t1);
-}
-
-void BinaryTraceSink::on_proc_done(int proc, double t) {
-  op(TraceEv::kDone);
-  put_varint(static_cast<std::uint64_t>(proc));
-  put_time(t);
-}
-
-void BinaryTraceSink::on_stall(int proc, double t0, double t1) {
-  op(TraceEv::kStall);
-  put_varint(static_cast<std::uint64_t>(proc));
-  put_time(t0);
-  put_time(t1);
-}
-
-void BinaryTraceSink::on_proc_lost(int proc, double t) {
-  op(TraceEv::kLost);
-  put_varint(static_cast<std::uint64_t>(proc));
-  put_time(t);
-}
-
-void BinaryTraceSink::on_fault_steal(int thief, int victim_queue,
-                                     std::int64_t iters) {
-  op(TraceEv::kFaultSteal);
-  put_varint(static_cast<std::uint64_t>(thief));
-  put_svarint(victim_queue);
-  put_varint(static_cast<std::uint64_t>(iters));
-}
-
-void BinaryTraceSink::on_abandoned(std::int64_t iters) {
-  op(TraceEv::kAbandoned);
-  put_varint(static_cast<std::uint64_t>(iters));
-}
-
-void BinaryTraceSink::on_loop_end(int epoch, double end) {
-  op(TraceEv::kLoopEnd);
-  put_varint(static_cast<std::uint64_t>(epoch));
-  put_time(end);
-}
-
-void BinaryTraceSink::on_barrier(int epoch, double cost, double total) {
-  op(TraceEv::kBarrier);
-  put_varint(static_cast<std::uint64_t>(epoch));
-  put_value(cost);
-  put_time(total);
-}
-
-void BinaryTraceSink::on_run_end(double makespan) {
-  op(TraceEv::kRunEnd);
-  put_time(makespan);
-  flush_buffer();
-  out_->flush();
+void BinaryTraceSink::record(const TraceRecord& r) {
+  switch (r.ev) {
+    case TraceEv::kRunBegin: {
+      // Definitions for any new strings go out before the record's
+      // opcode, so the reader has resolved every id by the time it
+      // decodes the body.
+      const std::uint64_t machine_id = intern(r.machine);
+      const std::uint64_t program_id = intern(r.program);
+      const std::uint64_t scheduler_id = intern(r.scheduler);
+      op(r.ev);
+      put_varint(machine_id);
+      put_varint(program_id);
+      put_varint(scheduler_id);
+      put_varint(static_cast<std::uint64_t>(r.p));
+      break;
+    }
+    case TraceEv::kLoopBegin:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.epoch));
+      put_varint(static_cast<std::uint64_t>(r.n));
+      put_varint(static_cast<std::uint64_t>(r.p));
+      break;
+    case TraceEv::kGrab:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.proc));
+      put_u8(static_cast<std::uint8_t>(r.kind));
+      put_svarint(r.queue);
+      put_svarint(r.begin);
+      put_svarint(r.end);
+      put_time(r.t0);
+      put_time(r.t1);
+      break;
+    case TraceEv::kChunk:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.proc));
+      put_svarint(r.begin);
+      put_svarint(r.end);
+      put_time(r.t0);
+      put_time(r.t1);
+      break;
+    case TraceEv::kMiss:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.proc));
+      put_svarint(r.block);
+      put_value(r.size);
+      put_time(r.t0);
+      put_time(r.t1);
+      break;
+    case TraceEv::kInval:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.proc));
+      put_svarint(r.block);
+      put_varint(static_cast<std::uint64_t>(r.copies));
+      put_time(r.t0);
+      put_time(r.t1);
+      break;
+    case TraceEv::kDone:
+    case TraceEv::kLost:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.proc));
+      put_time(r.t0);
+      break;
+    case TraceEv::kStall:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.proc));
+      put_time(r.t0);
+      put_time(r.t1);
+      break;
+    case TraceEv::kFaultSteal:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.proc));
+      put_svarint(r.queue);
+      put_varint(static_cast<std::uint64_t>(r.n));
+      break;
+    case TraceEv::kAbandoned:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.n));
+      break;
+    case TraceEv::kLoopEnd:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.epoch));
+      put_time(r.t0);
+      break;
+    case TraceEv::kBarrier:
+      op(r.ev);
+      put_varint(static_cast<std::uint64_t>(r.epoch));
+      put_value(r.size);
+      put_time(r.t0);
+      break;
+    case TraceEv::kRunEnd:
+      op(r.ev);
+      put_time(r.t0);
+      flush_buffer();
+      out_->flush();
+      break;
+  }
 }
 
 }  // namespace afs

@@ -37,12 +37,17 @@
 // the first run. All state (intern table, XOR registers) persists across
 // runs within one file.
 //
-// File output is crash-safe: records go to `<path>.tmp`, and the final
-// name appears only when finalize() commits it (fsync + rename). The
-// sweep harness writes one sink per (scheduler, P) cell — finalize() on
-// success, abandon() on failure — so parallel cells never interleave
-// records, a crashed cell never publishes a partial trace, and a resumed
-// sweep never truncates a completed one.
+// File output is crash-safe: records go to a writer-unique temp file
+// (unique_tmp_path), and the final name appears only when finalize()
+// commits it (fsync + rename). The sweep harness writes one sink per
+// (scheduler, P) cell — finalize() on success, abandon() on failure — so
+// parallel cells never interleave records, a crashed cell never publishes
+// a partial trace, and a rerun never truncates a completed one.
+//
+// The mapping from simulator callbacks to TraceRecords lives in
+// TraceRecordSink, which BinaryTraceSink and the in-memory
+// TraceAnalysisSink (trace/analysis.hpp) share: a record encoded here
+// decodes to exactly the record the analysis saw.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +61,70 @@
 
 namespace afs {
 
-class BinaryTraceSink final : public MetricsSink {
+/// Maps every narrated MetricsSink event to the TraceRecord a reader
+/// decodes for it (field mapping in trace/trace_record.hpp) and hands it
+/// to record(). The per-iteration on_work/on_hit micro-events are not
+/// narrated.
+class TraceRecordSink : public MetricsSink {
+ public:
+  virtual void record(const TraceRecord& r) = 0;
+
+  void on_run_begin(const MachineConfig& m, const std::string& program,
+                    const std::string& scheduler, int p) final {
+    record({.ev = TraceEv::kRunBegin, .machine = m.name, .program = program,
+            .scheduler = scheduler, .p = p});
+  }
+  void on_loop_begin(int epoch, std::int64_t n, int p) final {
+    record({.ev = TraceEv::kLoopBegin, .p = p, .epoch = epoch, .n = n});
+  }
+  void on_grab(int proc, const Grab& g, double t0, double t1) final {
+    record({.ev = TraceEv::kGrab, .proc = proc, .kind = g.kind,
+            .queue = g.queue, .begin = g.range.begin, .end = g.range.end,
+            .t0 = t0, .t1 = t1});
+  }
+  void on_chunk(int proc, std::int64_t begin, std::int64_t end, double t0,
+                double t1) final {
+    record({.ev = TraceEv::kChunk, .proc = proc, .begin = begin, .end = end,
+            .t0 = t0, .t1 = t1});
+  }
+  void on_miss(int proc, const BlockAccess& a, double t0, double t1) final {
+    record({.ev = TraceEv::kMiss, .proc = proc, .block = a.block,
+            .size = a.size, .t0 = t0, .t1 = t1});
+  }
+  void on_invalidate(int proc, std::int64_t block, int copies, double t0,
+                     double t1) final {
+    record({.ev = TraceEv::kInval, .proc = proc, .copies = copies,
+            .block = block, .t0 = t0, .t1 = t1});
+  }
+  void on_proc_done(int proc, double t) final {
+    record({.ev = TraceEv::kDone, .proc = proc, .t0 = t});
+  }
+  void on_stall(int proc, double t0, double t1) final {
+    record({.ev = TraceEv::kStall, .proc = proc, .t0 = t0, .t1 = t1});
+  }
+  void on_proc_lost(int proc, double t) final {
+    record({.ev = TraceEv::kLost, .proc = proc, .t0 = t});
+  }
+  void on_fault_steal(int thief, int victim_queue, std::int64_t iters) final {
+    record({.ev = TraceEv::kFaultSteal, .proc = thief, .queue = victim_queue,
+            .n = iters});
+  }
+  void on_abandoned(std::int64_t iters) final {
+    record({.ev = TraceEv::kAbandoned, .n = iters});
+  }
+  void on_loop_end(int epoch, double end) final {
+    record({.ev = TraceEv::kLoopEnd, .epoch = epoch, .t0 = end});
+  }
+  void on_barrier(int epoch, double cost, double total) final {
+    record({.ev = TraceEv::kBarrier, .epoch = epoch, .size = cost,
+            .t0 = total});
+  }
+  void on_run_end(double makespan) final {
+    record({.ev = TraceEv::kRunEnd, .t0 = makespan});
+  }
+};
+
+class BinaryTraceSink final : public TraceRecordSink {
  public:
   /// Magic + version prefix: "CCTR", version byte, three reserved zeros.
   static constexpr unsigned char kMagic[8] = {'C', 'C', 'T', 'R',
@@ -66,7 +134,7 @@ class BinaryTraceSink final : public MetricsSink {
   /// written immediately.
   explicit BinaryTraceSink(std::ostream& out);
 
-  /// Streams to `path + ".tmp"` (truncates), published to `path` by
+  /// Streams to a unique temp file beside `path`, published to `path` by
   /// finalize(). Throws std::runtime_error when the file cannot be
   /// opened; parent directories are not created.
   explicit BinaryTraceSink(const std::string& path);
@@ -88,23 +156,8 @@ class BinaryTraceSink final : public MetricsSink {
   std::int64_t records_written() const { return records_; }
   std::int64_t bytes_written() const { return bytes_; }
 
-  void on_run_begin(const MachineConfig& m, const std::string& program,
-                    const std::string& scheduler, int p) override;
-  void on_loop_begin(int epoch, std::int64_t n, int p) override;
-  void on_grab(int proc, const Grab& g, double t0, double t1) override;
-  void on_chunk(int proc, std::int64_t begin, std::int64_t end, double t0,
-                double t1) override;
-  void on_miss(int proc, const BlockAccess& a, double t0, double t1) override;
-  void on_invalidate(int proc, std::int64_t block, int copies, double t0,
-                     double t1) override;
-  void on_proc_done(int proc, double t) override;
-  void on_stall(int proc, double t0, double t1) override;
-  void on_proc_lost(int proc, double t) override;
-  void on_fault_steal(int thief, int victim_queue, std::int64_t iters) override;
-  void on_abandoned(std::int64_t iters) override;
-  void on_loop_end(int epoch, double end) override;
-  void on_barrier(int epoch, double cost, double total) override;
-  void on_run_end(double makespan) override;
+  /// Encodes one record (a run_end also flushes the stream).
+  void record(const TraceRecord& r) override;
 
  private:
   void op(TraceEv ev);
@@ -122,6 +175,7 @@ class BinaryTraceSink final : public MetricsSink {
   std::ofstream file_;       // used by the path constructor
   std::ostream* out_;        // always valid
   std::string final_path_;   // non-empty = path mode, not yet finalized
+  std::string tmp_path_;     // path mode: where records stream until then
   std::map<std::string, std::uint64_t> interned_;
   std::uint64_t prev_time_bits_ = 0;
   std::uint64_t prev_value_bits_ = 0;

@@ -16,7 +16,7 @@
 namespace afs {
 
 /// Per-cell trace path: `<out_dir>/<id>.p<P>.<sched>.cctrace` with the
-/// scheduler label sanitized the same way as sweep checkpoints (alnum,
+/// scheduler label sanitized to a file-name-safe set (alnum,
 /// '-', '.'; everything else becomes '_'). One file per (scheduler, P)
 /// sweep cell is what lets --trace compose with --jobs=N: each cell owns
 /// its writer, so parallel cells never interleave records.
@@ -96,9 +96,9 @@ constexpr const char* to_string(TraceEv ev) {
 ///   run_end     t0 (= makespan)
 struct TraceRecord {
   TraceEv ev = TraceEv::kRunBegin;
-  std::string machine;
-  std::string program;
-  std::string scheduler;
+  std::string machine{};  // braced: designated initializers may omit them
+  std::string program{};
+  std::string scheduler{};
   int p = 0;
   int epoch = 0;
   int proc = 0;

@@ -1,6 +1,6 @@
 // Stable 64-bit content hashing (FNV-1a) shared by everything that needs
-// a deterministic, platform-independent digest: sweep checkpoint
-// identities, content-addressed result-store keys, graph content keys.
+// a deterministic, platform-independent digest: content-addressed
+// result-store keys, graph content keys, retry-schedule seeds.
 //
 // FNV-1a is not cryptographic; collisions are handled by the consumers
 // (the result store records the full key text in every entry and compares

@@ -67,7 +67,7 @@ std::string Table::to_csv() const {
 }
 
 void Table::write_csv(const std::string& path) const {
-  // Crash-safe publication: a reader (or a resumed sweep) never sees a
+  // Crash-safe publication: a reader (or a rerun) never sees a
   // half-written CSV — the file appears complete or not at all.
   write_file_atomic(path, to_csv());
 }

@@ -113,21 +113,20 @@ TEST(BenchCli, DefaultsLeaveSweepRunnerOff) {
   const Parse p = parse({});
   ASSERT_TRUE(p.ok);
   EXPECT_EQ(p.cli.jobs, 1);
-  EXPECT_FALSE(p.cli.resume);
   EXPECT_EQ(p.cli.cell_timeout, 0.0);
   EXPECT_EQ(p.cli.sweep_timeout, 0.0);
-  EXPECT_FALSE(p.cli.runner_flags_set());
+  EXPECT_EQ(p.cli.cell_retries, -1);
 }
 
 TEST(BenchCli, ParsesSweepRunnerFlags) {
-  const Parse p = parse(
-      {"--jobs=4", "--resume", "--cell-timeout=2.5", "--sweep-timeout=600"});
+  const Parse p =
+      parse({"--jobs=4", "--cell-timeout=2.5", "--sweep-timeout=600"});
   ASSERT_TRUE(p.ok);
   EXPECT_EQ(p.cli.jobs, 4);
-  EXPECT_TRUE(p.cli.resume);
   EXPECT_EQ(p.cli.cell_timeout, 2.5);
   EXPECT_EQ(p.cli.sweep_timeout, 600.0);
-  EXPECT_TRUE(p.cli.runner_flags_set());
+  // The store is the only checkpoint: resuming is rerunning over it.
+  EXPECT_FALSE(parse({"--resume"}).ok);
 }
 
 TEST(BenchCli, RejectsMalformedJobs) {
@@ -170,7 +169,6 @@ TEST(BenchCli, ParsesCellRetries) {
   const Parse p = parse({"--cell-retries=0"});
   ASSERT_TRUE(p.ok);
   EXPECT_EQ(p.cli.cell_retries, 0);
-  EXPECT_TRUE(p.cli.runner_flags_set());
   EXPECT_EQ(parse({"--cell-retries=5"}).cli.cell_retries, 5);
 }
 

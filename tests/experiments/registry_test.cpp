@@ -1,13 +1,15 @@
-// The experiment registry: every paper reproduction keyed by id, plus the
-// cached-cell helper the bespoke tables run through. End-to-end coverage
-// (an experiment run under a store serving >= 95% of cells on the warm
-// pass) lives in CI's sweep-service job; these tests pin the registry
-// contract itself.
+// The experiment registry: every paper reproduction keyed by id, the
+// cached-cell helper the bespoke tables run through, and one queue for a
+// run of several experiments (blocks in registry order, repeated keys
+// served from the store, a failing table reported rather than fatal).
+// End-to-end coverage of a whole pass lives in CI's sweep-service job and
+// the perf/ smoke test; these tests pin the registry contract itself.
 #include "experiments/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -15,6 +17,7 @@
 #include "machines/machines.hpp"
 #include "sched/registry.hpp"
 #include "store/result_store.hpp"
+#include "util/check.hpp"
 
 namespace fs = std::filesystem;
 
@@ -43,7 +46,7 @@ TEST(Registry, AllHistoricalBinariesAreRegistered) {
 TEST(Registry, EntriesAreWellFormed) {
   for (const Experiment& e : all_experiments()) {
     EXPECT_FALSE(e.title.empty()) << e.id;
-    EXPECT_TRUE(e.run != nullptr) << e.id;
+    EXPECT_TRUE(e.plan != nullptr) << e.id;
     if (e.kind != ExperimentKind::kMicro) {
       EXPECT_FALSE(e.csv_ids.empty()) << e.id;
     }
@@ -69,19 +72,25 @@ TEST(Registry, MicroExperimentShortCircuits) {
   EXPECT_NE(out.str().find("google-benchmark"), std::string::npos);
 }
 
+/// Runs a table cell to completion on the caller's thread.
+SimResult run_now(const SweepCellSpec& cell) {
+  const CancelToken token;
+  return cell.run(token);
+}
+
 TEST(Registry, RunCellCachedServesTheSecondLookup) {
   ResultStore store(fresh_dir("registry_cells"));
   ExperimentContext ctx;
   ctx.store = &store;
 
-  const auto program = balanced_program(256);
+  const SharedProgram program(balanced_program(256));
   const SimResult cold =
-      run_cell_cached(ctx, iris(), program, "AFS", 4);
+      run_now(table_cell(ctx, "AFS", iris(), program, "AFS", 4));
   EXPECT_EQ(store.hits(), 0);
   EXPECT_EQ(store.writes(), 1);
 
   const SimResult warm =
-      run_cell_cached(ctx, iris(), program, "AFS", 4);
+      run_now(table_cell(ctx, "AFS", iris(), program, "AFS", 4));
   EXPECT_EQ(store.hits(), 1);
   EXPECT_EQ(warm.makespan, cold.makespan);
   EXPECT_EQ(warm.iterations, cold.iterations);
@@ -90,7 +99,7 @@ TEST(Registry, RunCellCachedServesTheSecondLookup) {
   // No store in the context: same numbers, nothing served or written.
   ExperimentContext bare;
   const SimResult direct =
-      run_cell_cached(bare, iris(), program, "AFS", 4);
+      run_now(table_cell(bare, "AFS", iris(), program, "AFS", 4));
   EXPECT_EQ(direct.makespan, cold.makespan);
   EXPECT_EQ(store.writes(), 1);
 }
@@ -101,13 +110,123 @@ TEST(Registry, RunCellCachedKeysEngineToggles) {
   ResultStore store(fresh_dir("registry_toggles"));
   ExperimentContext ctx;
   ctx.store = &store;
-  const auto program = balanced_program(128);
-  run_cell_cached(ctx, iris(), program, "GSS", 2);
+  const SharedProgram program(balanced_program(128));
+  const SweepCellSpec batched =
+      table_cell(ctx, "GSS", iris(), program, "GSS", 2);
   SimOptions unbatched;
   unbatched.batch_iterations = false;
-  run_cell_cached(ctx, iris(), program, "GSS", 2, unbatched);
+  const SweepCellSpec ab =
+      table_cell(ctx, "GSS", iris(), program, "GSS", 2, unbatched);
+  EXPECT_NE(batched.key, ab.key);  // distinct keys: never queue-linked
+  run_now(batched);
+  run_now(ab);
   EXPECT_EQ(store.writes(), 2);
   EXPECT_EQ(store.hits(), 0);
+}
+
+/// The "== " header lines of a run's output, in order.
+std::vector<std::string> headers_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("== ", 0) == 0) out.push_back(line);
+  return out;
+}
+
+TEST(RunQueue, RepeatedKeysHitInEitherOrder) {
+  // fig07 and tab5 share 25 cells. Planned together on one queue, the
+  // second instance of each waits for the first to publish, so a cold
+  // store serves it: 25 hits, 64 misses, 64 writes — every time, in both
+  // registry orders, under four workers.
+  const Experiment* fig07 = find_experiment("fig07");
+  const Experiment* tab5 = find_experiment("tab5");
+  ASSERT_NE(fig07, nullptr);
+  ASSERT_NE(tab5, nullptr);
+  for (const auto& order : {std::vector<const Experiment*>{fig07, tab5},
+                            std::vector<const Experiment*>{tab5, fig07}}) {
+    for (int round = 0; round < 20; ++round) {
+      const std::string dir = fresh_dir("run_queue_keys");
+      ResultStore store(dir + "/.store");
+      ExperimentContext ctx;
+      ctx.cli.out_dir = dir;
+      ctx.cli.jobs = 4;
+      ctx.store = &store;
+      std::ostringstream out;
+      const std::vector<int> codes = run_experiments(order, ctx, out);
+      ASSERT_EQ(codes, (std::vector<int>{0, 0}));
+      EXPECT_EQ(store.hits(), 25) << order.front()->id << " round " << round;
+      EXPECT_EQ(store.misses(), 64) << order.front()->id << " round " << round;
+      EXPECT_EQ(store.writes(), 64) << order.front()->id << " round " << round;
+    }
+  }
+}
+
+TEST(RunQueue, BlocksPrintInRegistryOrder) {
+  // Cells run costliest first across experiments, but each block prints
+  // only once it and every block before it are complete.
+  std::vector<const Experiment*> selected;
+  for (const char* id : {"fig10", "tab5", "fig07", "tab3", "trend_comm_ratio",
+                         "fig11"})
+    selected.push_back(find_experiment(id));
+  const std::string dir = fresh_dir("run_queue_order");
+  ExperimentContext ctx;
+  ctx.cli.out_dir = dir;
+  ctx.cli.jobs = 4;
+  std::ostringstream out;
+  const std::vector<int> codes = run_experiments(selected, ctx, out);
+  EXPECT_EQ(codes, std::vector<int>(selected.size(), 0));
+  const std::vector<std::string> headers = headers_of(out.str());
+  ASSERT_EQ(headers.size(), selected.size()) << out.str();
+  for (std::size_t i = 0; i < selected.size(); ++i)
+    EXPECT_EQ(headers[i],
+              "== " + selected[i]->id + ": " + selected[i]->title + " ==");
+  // Each block follows its own header: tab5's table is not inside fig10's.
+  const std::string text = out.str();
+  EXPECT_LT(text.find(headers[1]), text.find("AFS remote/queue"));
+}
+
+TEST(RunQueue, FailingTableCellReportsInsteadOfCrashing) {
+  // One table cell breaks an invariant: its table prints a failure
+  // report, writes <id>.failures.json and exits 1; the next experiment
+  // on the queue is unaffected.
+  const Experiment broken = table_experiment(
+      "broken_table", "A table with a failing cell", {"broken_table"},
+      [](const ExperimentContext& ctx) {
+        ExperimentPlan plan;
+        plan.cells.push_back(table_cell(ctx, "AFS", iris(),
+                                        SharedProgram(balanced_program(64)),
+                                        "AFS", 2));
+        plan.cells.push_back({"BROKEN", 2, [](const CancelToken&) -> SimResult {
+                                AFS_CHECK_MSG(false, "cell broke");
+                                return {};
+                              }});
+        plan.render = [](std::vector<CellOutcome>&, std::ostream& out) {
+          out << "rendered\n";
+          return 0;
+        };
+        return plan;
+      });
+  const std::string dir = fresh_dir("run_queue_failure");
+  for (int jobs : {1, 4}) {
+    ExperimentContext ctx;
+    ctx.cli.out_dir = dir;
+    ctx.cli.jobs = jobs;
+    std::ostringstream out;
+    const std::vector<int> codes =
+        run_experiments({&broken, find_experiment("fig10")}, ctx, out);
+    EXPECT_EQ(codes, (std::vector<int>{1, 0})) << "jobs=" << jobs;
+    EXPECT_EQ(out.str().find("rendered"), std::string::npos);
+    EXPECT_NE(out.str().find("1 of 2 cells failed"), std::string::npos)
+        << out.str();
+    std::ifstream report(dir + "/broken_table.failures.json");
+    std::stringstream text;
+    text << report.rdbuf();
+    EXPECT_NE(text.str().find("\"scheduler\":\"BROKEN\",\"procs\":2,"
+                              "\"kind\":\"invariant\""),
+              std::string::npos)
+        << text.str();
+    EXPECT_TRUE(fs::exists(dir + "/fig10.csv"));
+  }
 }
 
 TEST(Registry, SchedulerDisplayNameMatchesTheBuiltScheduler) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sched/registry.hpp"
+#include "util/rng.hpp"
 #include "workload/graphs.hpp"
 
 namespace afs {
@@ -74,11 +78,69 @@ TEST(TransitiveClosure, ChainBecomesFullOrder) {
 
 TEST(TransitiveClosure, TraceMarksActiveIterations) {
   const auto g = clique_graph(10, 4);
-  const auto trace = TransitiveClosureKernel::active_trace(g);
-  ASSERT_EQ(trace.size(), 10u);
+  const BitMatrix trace = TransitiveClosureKernel::active_trace(g);
+  ASSERT_EQ(trace.rows(), 10);
+  ASSERT_EQ(trace.cols(), 10);
   // Epoch 0: iterations 1..3 have edge (j,0) (clique rows), others not.
-  EXPECT_EQ(trace[0][1], 1);
-  EXPECT_EQ(trace[0][5], 0);
+  EXPECT_TRUE(trace.test(0, 1));
+  EXPECT_FALSE(trace.test(0, 5));
+}
+
+/// The byte-matrix Warshall loop the bit-parallel trace replaced, kept as
+/// its oracle: active[k][j] = edge (j, k) as epoch k starts.
+std::vector<std::vector<std::uint8_t>> byte_matrix_trace(BoolMatrix graph) {
+  const std::int64_t n = graph.rows();
+  std::vector<std::vector<std::uint8_t>> active(
+      static_cast<std::size_t>(n),
+      std::vector<std::uint8_t>(static_cast<std::size_t>(n), 0));
+  for (std::int64_t k = 0; k < n; ++k) {
+    for (std::int64_t j = 0; j < n; ++j)
+      active[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)] =
+          graph(j, k);
+    for (std::int64_t j = 0; j < n; ++j) {
+      if (!graph(j, k) || j == k) continue;
+      for (std::int64_t i = 0; i < n; ++i)
+        if (graph(k, i)) graph(j, i) = 1;
+    }
+  }
+  return active;
+}
+
+void expect_trace_matches_oracle(const BoolMatrix& g, const char* what) {
+  const BitMatrix bits = TransitiveClosureKernel::active_trace(g);
+  const auto bytes = byte_matrix_trace(g);
+  const std::int64_t n = g.rows();
+  ASSERT_EQ(bits.rows(), n) << what;
+  ASSERT_EQ(bits.cols(), n) << what;
+  std::int64_t mismatches = 0;
+  for (std::int64_t k = 0; k < n; ++k)
+    for (std::int64_t j = 0; j < n; ++j)
+      if (bits.test(k, j) !=
+          (bytes[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)] !=
+           0))
+        ++mismatches;
+  EXPECT_EQ(mismatches, 0) << what << " n=" << n;
+}
+
+TEST(TransitiveClosure, BitParallelTraceMatchesByteMatrixOracle) {
+  // Sizes straddle the 64-bit word boundary (n % 64 != 0 included), and
+  // densities run from nearly empty to nearly complete.
+  Xoshiro256 rng(0x7c1057eULL);
+  for (std::int64_t n : {1, 2, 7, 63, 64, 65, 100, 129, 200}) {
+    for (double p : {0.01, 0.05, 0.2, 0.6}) {
+      BoolMatrix g(n, n, 0);
+      for (std::int64_t j = 0; j < n; ++j)
+        for (std::int64_t i = 0; i < n; ++i)
+          g(j, i) = rng.next_double() < p ? 1 : 0;
+      expect_trace_matches_oracle(g, "random");
+    }
+    for (std::int64_t clique : {std::int64_t{1}, n / 2, n}) {
+      if (clique >= 1) expect_trace_matches_oracle(clique_graph(n, clique),
+                                                   "clique");
+    }
+  }
+  expect_trace_matches_oracle(random_graph(130, 0.08, 1992), "random_graph");
+  expect_trace_matches_oracle(clique_graph(320, 160), "clique_graph");
 }
 
 TEST(TransitiveClosure, ProgramCostsFollowTrace) {

@@ -1,34 +1,37 @@
-// Tests for the crash-safe sweep runner: bit-identical merges across
-// serial/parallel/resumed execution, the checkpoint protocol, the
-// deterministic retry schedule, cooperative timeouts, and the failure
-// report. Cheap cells are synthetic (a pure function of the cell key);
-// the simulator only appears where the contract under test is "a real
-// simulation run obeys the token".
+// Tests for the run queue: bit-identical merges across serial and
+// parallel execution, costliest-first order, the "runs after" edge (a
+// repeated key, a dependent cell), the deterministic retry schedule,
+// cooperative timeouts and cancellation, and the failure report. Cheap
+// cells are synthetic (a pure function of the cell key); the simulator
+// only appears where the contract under test is "a real simulation run
+// obeys the token".
 #include "runtime/sweep_runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "experiments/figure.hpp"
 #include "kernels/gauss.hpp"
 #include "kernels/synthetic.hpp"
 #include "machines/machines.hpp"
 #include "runtime/cell_executor.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sched/registry.hpp"
 #include "sim/machine_sim.hpp"
 #include "util/check.hpp"
 
 namespace afs {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Bitwise equality of every field the checkpoint serializes.
 bool identical(const SimResult& a, const SimResult& b) {
@@ -103,10 +106,35 @@ std::vector<SweepCellSpec> synthetic_cells(
   return cells;
 }
 
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir.string();
+/// The queue's outcomes, collected the way a one-experiment caller sees
+/// them, plus the order in which on_done saw the cells.
+struct Collected {
+  std::map<std::string, std::map<int, SimResult>> results;
+  std::vector<CellFailure> failures;  // in on_done order
+  std::vector<std::size_t> order;
+
+  bool complete() const { return failures.empty(); }
+  bool invariant_break() const {
+    return std::any_of(failures.begin(), failures.end(),
+                       [](const CellFailure& f) {
+                         return f.kind == "invariant";
+                       });
+  }
+};
+
+Collected run_queue(std::vector<SweepCellSpec> cells,
+                    const SweepOptions& opts) {
+  Collected c;
+  std::vector<std::pair<std::string, int>> ids;
+  for (const SweepCellSpec& cell : cells) ids.emplace_back(cell.label, cell.procs);
+  run_sweep(std::move(cells), opts, [&](std::size_t k, CellOutcome o) {
+    c.order.push_back(k);
+    if (o.result)
+      c.results[ids[k].first][ids[k].second] = std::move(*o.result);
+    else
+      c.failures.push_back(std::move(o.failure));
+  });
+  return c;
 }
 
 TEST(SweepRunner, SerialAndParallelMergeBitIdentical) {
@@ -132,8 +160,8 @@ TEST(SweepRunner, SerialAndParallelMergeBitIdentical) {
   SweepOptions serial;
   SweepOptions parallel;
   parallel.jobs = 4;
-  const SweepOutcome a = run_sweep("t", make_cells(), serial);
-  const SweepOutcome b = run_sweep("t", make_cells(), parallel);
+  const Collected a = run_queue(make_cells(), serial);
+  const Collected b = run_queue(make_cells(), parallel);
 
   ASSERT_TRUE(a.complete());
   ASSERT_TRUE(b.complete());
@@ -176,62 +204,6 @@ TEST(SweepRunner, ParseRejectsCorruption) {
   EXPECT_FALSE(parse_sim_result(bad, out));
 }
 
-TEST(SweepRunner, ResumeRecomputesOnlyMissingOrCorruptCells) {
-  const std::vector<std::string> labels{"AFS", "GSS"};
-  const std::vector<int> procs{1, 2, 4};
-  const std::string dir = fresh_dir("sweep_resume");
-
-  SweepOptions opts;
-  opts.checkpoint_dir = dir;
-  std::atomic<int> computed{0};
-  const SweepOutcome first =
-      run_sweep("resume-test", synthetic_cells(labels, procs, &computed), opts);
-  ASSERT_TRUE(first.complete());
-  EXPECT_EQ(computed.load(), 6);
-  EXPECT_EQ(first.cells_resumed, 0);
-
-  // Simulate a crash that lost one cell and half-wrote another.
-  ASSERT_TRUE(fs::remove(cell_checkpoint_path(dir, "AFS", 2)));
-  {
-    std::ofstream trunc(cell_checkpoint_path(dir, "GSS", 4),
-                        std::ios::trunc);
-    trunc << "afs-cell-v1\nmakespan 0x1p+0\n";  // truncated checkpoint
-  }
-
-  computed.store(0);
-  opts.resume = true;
-  const SweepOutcome second =
-      run_sweep("resume-test", synthetic_cells(labels, procs, &computed), opts);
-  ASSERT_TRUE(second.complete());
-  EXPECT_EQ(computed.load(), 2);  // exactly the lost and the corrupt cell
-  EXPECT_EQ(second.cells_resumed, 4);
-  for (const std::string& label : labels)
-    for (int p : procs)
-      EXPECT_TRUE(identical(first.results.at(label).at(p),
-                            second.results.at(label).at(p)))
-          << label << " P=" << p;
-}
-
-TEST(SweepRunner, ResumeRejectsForeignManifest) {
-  const std::vector<std::string> labels{"AFS"};
-  const std::vector<int> procs{1, 2};
-  const std::string dir = fresh_dir("sweep_foreign");
-
-  SweepOptions opts;
-  opts.checkpoint_dir = dir;
-  ASSERT_TRUE(run_sweep("sweep-one", synthetic_cells(labels, procs), opts)
-                  .complete());
-
-  // Same directory, different sweep id: checkpoints must not be merged.
-  std::atomic<int> computed{0};
-  opts.resume = true;
-  const SweepOutcome other = run_sweep(
-      "sweep-two", synthetic_cells(labels, procs, &computed), opts);
-  ASSERT_TRUE(other.complete());
-  EXPECT_EQ(other.cells_resumed, 0);
-  EXPECT_EQ(computed.load(), 2);
-}
-
 TEST(SweepRunner, RetryScheduleIsDeterministic) {
   SweepOptions opts;
   opts.max_retries = 3;
@@ -266,7 +238,7 @@ TEST(SweepRunner, RetryScheduleIsDeterministic) {
            if (calls.fetch_add(1) < 2) throw std::runtime_error("transient");
            return synthetic_result("FLAKY", 2);
          }}};
-    const SweepOutcome outcome = run_sweep("flaky", cells, o);
+    const Collected outcome = run_queue(cells, o);
     EXPECT_TRUE(outcome.complete());
     return delays;
   };
@@ -337,7 +309,7 @@ TEST(SweepRunner, PoisonedCellIsNeverRetried) {
                      ++calls;
                      throw PoisonedCellError("quarantined after 3 crashes");
                    }});
-  const SweepOutcome outcome = run_sweep("poison", cells, opts);
+  const Collected outcome = run_queue(cells, opts);
   EXPECT_EQ(calls, 1);
   EXPECT_FALSE(outcome.invariant_break());
   EXPECT_EQ(outcome.results.at("OK").size(), 1u);
@@ -360,7 +332,7 @@ TEST(SweepRunner, DegradedModeIsNeverRetried) {
          ++calls;
          throw DegradedError("restart budget exhausted; cache-only");
        }}};
-  const SweepOutcome outcome = run_sweep("degraded", cells, opts);
+  const Collected outcome = run_queue(cells, opts);
   EXPECT_EQ(calls, 1);
   ASSERT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(outcome.failures[0].kind, "degraded");
@@ -375,7 +347,7 @@ TEST(SweepRunner, ExhaustedRetriesIsolateTheFailingCell) {
   cells.push_back({"BAD", 1, [](const CancelToken&) -> SimResult {
                      throw std::runtime_error("always \"broken\"");
                    }});
-  const SweepOutcome outcome = run_sweep("isolate", cells, opts);
+  const Collected outcome = run_queue(cells, opts);
 
   EXPECT_FALSE(outcome.complete());
   EXPECT_FALSE(outcome.invariant_break());
@@ -384,7 +356,8 @@ TEST(SweepRunner, ExhaustedRetriesIsolateTheFailingCell) {
   EXPECT_EQ(outcome.failures[0].kind, "error");
   EXPECT_EQ(outcome.failures[0].attempts, 2);  // first try + one retry
 
-  const std::string report = failure_report_json("isolate", outcome);
+  const std::string report =
+      failure_report_json("isolate", 3, outcome.failures);
   EXPECT_NE(report.find("\"schema\":\"afs-sweep-failures-v1\""),
             std::string::npos);
   EXPECT_NE(report.find("\"sweep\":\"isolate\""), std::string::npos);
@@ -408,7 +381,7 @@ TEST(SweepRunner, InvariantBreakIsNeverRetried) {
          AFS_CHECK_MSG(calls == 0, "engine contract violated");  // throws
          return synthetic_result("BROKEN", 1);
        }}};
-  const SweepOutcome outcome = run_sweep("invariant", cells, opts);
+  const Collected outcome = run_queue(cells, opts);
   EXPECT_EQ(calls, 1);
   ASSERT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(outcome.failures[0].kind, "invariant");
@@ -430,7 +403,7 @@ TEST(SweepRunner, CellTimeoutInterruptsARealSimulation) {
          auto sched = make_scheduler("SS");
          return sim.run(program, *sched, 2);
        }}};
-  const SweepOutcome outcome = run_sweep("timeout", cells, opts);
+  const Collected outcome = run_queue(cells, opts);
   ASSERT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(outcome.failures[0].kind, "timeout");
   EXPECT_EQ(outcome.failures[0].attempts, 1);
@@ -439,8 +412,8 @@ TEST(SweepRunner, CellTimeoutInterruptsARealSimulation) {
 
 TEST(SweepRunner, SweepTimeoutCancelsRunningAndQueuedCells) {
   // Two workers get stuck in cooperative cells; six more cells sit in the
-  // queue. When the sweep deadline fires the stuck cells observe it and
-  // the queued cells are discarded without ever starting.
+  // queue. When the run deadline fires the stuck cells observe it and
+  // the queued cells fail without ever starting.
   SweepOptions opts;
   opts.jobs = 2;
   opts.sweep_timeout = 0.05;
@@ -458,7 +431,7 @@ TEST(SweepRunner, SweepTimeoutCancelsRunningAndQueuedCells) {
                        started.fetch_add(1);
                        return synthetic_result("QUEUED", p);
                      }});
-  const SweepOutcome outcome = run_sweep("deadline", cells, opts);
+  const Collected outcome = run_queue(cells, opts);
 
   EXPECT_EQ(started.load(), 2);  // the queued six never began
   EXPECT_EQ(outcome.failures.size(), 8u);
@@ -472,9 +445,21 @@ TEST(SweepRunner, SweepTimeoutCancelsRunningAndQueuedCells) {
 }
 
 TEST(SweepRunner, RejectsDuplicateCellsAndBadOptions) {
-  std::vector<SweepCellSpec> dup = synthetic_cells({"AFS"}, {2});
-  dup.push_back(dup.front());
-  EXPECT_THROW(run_sweep("dup", dup, SweepOptions{}), CheckFailure);
+  // Within one experiment a (label, P) cell is unique: a figure with a
+  // repeated scheduler is rejected when it is planned. (Across
+  // experiments the same label and P are different cells.)
+  auto spec = std::make_shared<FigureSpec>();
+  spec->id = "dup";
+  spec->machine = iris();
+  spec->program = GaussKernel::program(16);
+  spec->procs = {2};
+  spec->schedulers = {entry("AFS"), entry("AFS")};
+  EXPECT_THROW(plan_figure(spec, nullptr), CheckFailure);
+
+  // An edge must point at an earlier cell.
+  std::vector<SweepCellSpec> forward = synthetic_cells({"A", "B"}, {1});
+  forward[0].after = 1;
+  EXPECT_THROW(run_queue(forward, SweepOptions{}), CheckFailure);
 
   SweepOptions bad;
   bad.jobs = 0;
@@ -484,16 +469,192 @@ TEST(SweepRunner, RejectsDuplicateCellsAndBadOptions) {
   EXPECT_THROW(bad.validate(), CheckFailure);
 }
 
-TEST(SweepRunner, CheckpointPathsAreSanitizedAndCollisionFree) {
-  // Labels that sanitize to the same stem must still map to distinct
-  // files (the hash suffix), and path separators never escape the dir.
-  const std::string a = cell_checkpoint_path("d", "AFS(k=2)", 4);
-  const std::string b = cell_checkpoint_path("d", "AFS{k:2}", 4);
-  EXPECT_NE(a, b);
-  const std::string traversal = cell_checkpoint_path("d", "x/../../evil", 1);
-  EXPECT_EQ(traversal.find("d/"), 0u);
-  EXPECT_EQ(traversal.find('/', 2), std::string::npos)
-      << "separators must not survive sanitization: " << traversal;
+TEST(SweepRunner, CostliestReadyCellStartsFirst) {
+  // One worker, so the start order is the queue order: descending cost,
+  // declaration order breaking ties.
+  ThreadPool pool(1);
+  SweepOptions opts;
+  opts.jobs = 2;  // pooled mode, on the borrowed one-thread pool
+  opts.pool = &pool;
+  std::vector<SweepCellSpec> cells =
+      synthetic_cells({"A", "B", "C", "D", "E"}, {1});
+  const double costs[] = {1.0, 5.0, 3.0, 5.0, 0.5};
+  std::vector<std::size_t> started;
+  std::mutex mu;
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    cells[k].cost = costs[k];
+    cells[k].run = [k, &started, &mu, run = cells[k].run](
+                       const CancelToken& t) {
+      std::scoped_lock lock(mu);
+      started.push_back(k);
+      return run(t);
+    };
+  }
+  const Collected c = run_queue(cells, opts);
+  EXPECT_TRUE(c.complete());
+  EXPECT_EQ(started, (std::vector<std::size_t>{1, 3, 2, 0, 4}));
+
+  // jobs == 1 is the reference: declaration order, whatever the costs.
+  started.clear();
+  const Collected serial = run_queue(cells, SweepOptions{});
+  EXPECT_EQ(started, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(serial.order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(SweepRunner, RepeatedKeyRunsAfterItsFirstInstance) {
+  // Each repeated key's later instances may start only once the first
+  // instance has finished (published, in a store-backed cell) — even when
+  // they are costlier, and under four workers.
+  for (int round = 0; round < 20; ++round) {
+    std::vector<SweepCellSpec> cells;
+    auto finished = std::make_shared<std::vector<std::atomic<bool>>>(8);
+    std::atomic<int> violations{0};
+    for (int k = 0; k < 24; ++k) {
+      const int first = k % 8;  // cells 0..7 are first instances
+      SweepCellSpec c;
+      c.label = "K" + std::to_string(k);
+      c.procs = 1;
+      c.key = 1000 + static_cast<std::uint64_t>(first);
+      c.cost = k;  // later instances are costlier
+      c.run = [k, first, finished, &violations](const CancelToken&) {
+        if (k == first)
+          (*finished)[static_cast<std::size_t>(first)] = true;
+        else if (!(*finished)[static_cast<std::size_t>(first)])
+          ++violations;
+        return synthetic_result("K", 1);
+      };
+      cells.push_back(std::move(c));
+    }
+    SweepOptions opts;
+    opts.jobs = 4;
+    const Collected c = run_queue(std::move(cells), opts);
+    EXPECT_TRUE(c.complete());
+    EXPECT_EQ(violations.load(), 0) << "round " << round;
+  }
+}
+
+TEST(SweepRunner, DependentCellSeesItsPredecessorsResult) {
+  // tab7's ladder: a baseline cell hands its makespan to the cells that
+  // run after it, which scale their inputs by it.
+  for (int jobs : {1, 4}) {
+    auto baselines = std::make_shared<std::vector<double>>(6, -1.0);
+    std::vector<SweepCellSpec> cells;
+    for (int b = 0; b < 6; ++b) {
+      const int base = static_cast<int>(cells.size());
+      SweepCellSpec baseline;
+      baseline.label = "BASE" + std::to_string(b);
+      baseline.procs = 1;
+      baseline.run = [b, baselines](const CancelToken&) {
+        SimResult r;
+        r.makespan = 100.0 + b;
+        (*baselines)[static_cast<std::size_t>(b)] = r.makespan;
+        return r;
+      };
+      cells.push_back(std::move(baseline));
+      for (int level = 1; level <= 3; ++level) {
+        SweepCellSpec dep;
+        dep.label = "DEP" + std::to_string(b);
+        dep.procs = level;
+        dep.cost = 10.0;  // costlier than its baseline: order is the edge's
+        dep.after = base;
+        dep.run = [b, level, baselines](const CancelToken&) {
+          SimResult r;
+          r.makespan = (*baselines)[static_cast<std::size_t>(b)] * level;
+          return r;
+        };
+        cells.push_back(std::move(dep));
+      }
+    }
+    SweepOptions opts;
+    opts.jobs = jobs;
+    const Collected c = run_queue(std::move(cells), opts);
+    ASSERT_TRUE(c.complete());
+    for (int b = 0; b < 6; ++b)
+      for (int level = 1; level <= 3; ++level)
+        EXPECT_EQ(c.results.at("DEP" + std::to_string(b)).at(level).makespan,
+                  (100.0 + b) * level)
+            << "jobs=" << jobs;
+  }
+}
+
+TEST(SweepRunner, CellAfterAFailedCellFailsWithoutRunning) {
+  SweepOptions opts;
+  opts.jobs = 2;
+  std::atomic<int> dependents_ran{0};
+  std::vector<SweepCellSpec> cells;
+  cells.push_back({"BASE", 1, [](const CancelToken&) -> SimResult {
+                     AFS_CHECK_MSG(false, "baseline broke");
+                     return {};
+                   }});
+  for (int p = 1; p <= 3; ++p) {
+    SweepCellSpec dep{"DEP", p, [&dependents_ran](const CancelToken&) {
+                        ++dependents_ran;
+                        return synthetic_result("DEP", 1);
+                      }};
+    dep.after = 0;
+    cells.push_back(std::move(dep));
+  }
+  const Collected c = run_queue(std::move(cells), opts);
+  EXPECT_EQ(dependents_ran.load(), 0);
+  ASSERT_EQ(c.failures.size(), 4u);
+  for (const CellFailure& f : c.failures) {
+    EXPECT_EQ(f.kind, "invariant") << f.label;
+    if (f.label == "DEP") {
+      EXPECT_EQ(f.attempts, 0);
+      EXPECT_NE(f.message.find("runs after BASE P=1"), std::string::npos)
+          << f.message;
+    }
+  }
+}
+
+TEST(SweepRunner, TokenFiredMidQueueCancelsQueuedCellsUnrun) {
+  // The caller's token fires while the first cell runs; every cell still
+  // queued fails as "cancelled" with zero attempts and never runs.
+  for (int jobs : {1, 2}) {
+    CancelToken caller;
+    SweepOptions opts;
+    opts.jobs = jobs;
+    opts.cancel = &caller;
+    std::atomic<int> ran{0};
+    std::atomic<bool> holder_started{jobs == 1};
+    std::vector<SweepCellSpec> cells;
+    cells.push_back({"FIRE", 1, [&](const CancelToken&) {
+                       ++ran;
+                       // Pooled: fire only once the other worker is busy,
+                       // so no worker is idle when the token fires.
+                       while (!holder_started) {
+                       }
+                       caller.cancel();
+                       return synthetic_result("FIRE", 1);
+                     }});
+    cells.front().cost = 1.0;  // starts first in pooled mode too
+    for (int p = 1; p <= 6; ++p)
+      cells.push_back({"QUEUED", p, [&ran](const CancelToken&) {
+                         ++ran;
+                         return synthetic_result("QUEUED", 1);
+                       }});
+    if (jobs > 1) {
+      // The second worker's cell: running when the token fires, it
+      // observes it and stops.
+      cells[1].cost = 0.5;
+      cells[1].run = [&](const CancelToken& t) -> SimResult {
+        ++ran;
+        holder_started = true;
+        while (!t.cancelled()) {
+        }
+        throw CancelledError("observed the caller's token");
+      };
+    }
+    const Collected c = run_queue(std::move(cells), opts);
+    EXPECT_EQ(ran.load(), jobs) << "jobs=" << jobs;
+    ASSERT_EQ(c.failures.size(), 6u) << "jobs=" << jobs;
+    int unstarted = 0;
+    for (const CellFailure& f : c.failures) {
+      EXPECT_EQ(f.kind, "cancelled");
+      if (f.attempts == 0) ++unstarted;
+    }
+    EXPECT_EQ(unstarted, jobs == 1 ? 6 : 5) << "jobs=" << jobs;
+  }
 }
 
 }  // namespace

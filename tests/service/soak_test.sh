@@ -7,7 +7,7 @@
 #                             content-addressed store;
 #   3. chaos phase          — concurrent clients (plus one speaking
 #                             garbage) mid-flight when the daemon is
-#                             SIGKILLed: no drain, no checkpoint flush;
+#                             SIGKILLed: no drain, no flush;
 #   4. recovery phase       — a new daemon over the SAME store but a
 #                             FRESH out-dir re-serves every request:
 #                             >= 95% store hit-rate and every CSV
@@ -93,7 +93,7 @@ for k in "${KERNELS[@]}"; do
   done
 done
 # A grid not in the warm set keeps the dispatcher genuinely mid-compute
-# when the SIGKILL lands (the warm grids replay from checkpoints fast).
+# when the SIGKILL lands (the warm grids replay from the store fast).
 request_grid gauss:4000 SS,GSS /dev/null &
 pids+=($!)
 # One client speaking garbage: the daemon must answer with a structured
@@ -103,12 +103,16 @@ pids+=($!)
 pids+=($!)
 sleep 0.4
 kill -9 "$DAEMON_PID" || fail "could not SIGKILL the daemon"
+# Reap the daemon before starting its successor: until the kill has torn
+# its files down, its listening socket still accepts, and the new daemon
+# would refuse a socket that looks served.
+wait "$DAEMON_PID" 2>/dev/null
 wait "${pids[@]}" 2>/dev/null  # client exits are unspecified mid-kill
 DAEMON_PID=
 
 # ---- 4. recovery phase --------------------------------------------------
-# Same store, fresh out-dir: no sweep checkpoints to resume from, so every
-# cell must come back from the content-addressed store.
+# Same store, fresh out-dir: every cell must come back from the
+# content-addressed store.
 note "recovery phase: fresh daemon over the same store"
 start_daemon "$SCRATCH/out_recovered" "$SCRATCH/daemon_recover.log"
 hits=0

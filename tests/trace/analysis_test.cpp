@@ -4,11 +4,21 @@
 // paper numbers; schema violations must throw rather than mis-aggregate.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "kernels/gauss.hpp"
+#include "kernels/sor.hpp"
+#include "kernels/transitive_closure.hpp"
+#include "machines/machines.hpp"
+#include "sched/registry.hpp"
+#include "sim/machine_sim.hpp"
 #include "trace/analysis.hpp"
+#include "trace/binary_sink.hpp"
 #include "trace/trace_record.hpp"
+#include "workload/graphs.hpp"
 
 namespace afs {
 namespace {
@@ -209,6 +219,81 @@ TEST(TraceAnalysis, RejectsSchemaViolations) {
   EXPECT_THROW(
       analyze_trace({run_begin(1), chunk(5, 0, 4, 0.0, 4.0), run_end(4.0)}),
       std::runtime_error);  // processor index out of range
+}
+
+/// Field-by-field equality, doubles compared exactly.
+void expect_same_analysis(const TraceAnalysis& a, const TraceAnalysis& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.machine, b.machine) << what;
+  EXPECT_EQ(a.program, b.program) << what;
+  EXPECT_EQ(a.scheduler, b.scheduler) << what;
+  EXPECT_EQ(a.p, b.p) << what;
+  EXPECT_EQ(a.makespan, b.makespan) << what;
+  EXPECT_EQ(a.records, b.records) << what;
+  EXPECT_EQ(a.epochs, b.epochs) << what;
+  ASSERT_EQ(a.procs.size(), b.procs.size()) << what;
+  for (std::size_t i = 0; i < a.procs.size(); ++i) {
+    EXPECT_EQ(a.procs[i].exec, b.procs[i].exec) << what << " proc " << i;
+    EXPECT_EQ(a.procs[i].memory, b.procs[i].memory) << what << " proc " << i;
+    EXPECT_EQ(a.procs[i].sync, b.procs[i].sync) << what << " proc " << i;
+    EXPECT_EQ(a.procs[i].stall, b.procs[i].stall) << what << " proc " << i;
+    EXPECT_EQ(a.procs[i].idle, b.procs[i].idle) << what << " proc " << i;
+    EXPECT_EQ(a.procs[i].iterations, b.procs[i].iterations)
+        << what << " proc " << i;
+    EXPECT_EQ(a.procs[i].chunks, b.procs[i].chunks) << what << " proc " << i;
+  }
+  EXPECT_EQ(a.steal_iters, b.steal_iters) << what;
+  EXPECT_EQ(a.fault_steal_iters, b.fault_steal_iters) << what;
+  EXPECT_EQ(a.total_iterations, b.total_iterations) << what;
+  EXPECT_EQ(a.executed_iterations, b.executed_iterations) << what;
+  EXPECT_EQ(a.abandoned_iterations, b.abandoned_iterations) << what;
+  EXPECT_EQ(a.affine_iterations, b.affine_iterations) << what;
+  EXPECT_EQ(a.scored_iterations, b.scored_iterations) << what;
+  EXPECT_EQ(a.affinity_score(), b.affinity_score()) << what;
+  EXPECT_EQ(a.exec_imbalance(), b.exec_imbalance()) << what;
+}
+
+TEST(TraceAnalysis, InMemoryAnalysisEqualsTheCellsTraceFile) {
+  // The frontier's cells analyze their record stream in memory; a
+  // .cctrace of the same cell, decoded and analyzed, must agree exactly.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "afs_in_memory_analysis";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::vector<LoopProgram> programs{
+      SorKernel::program(256, 8), GaussKernel::program(192),
+      TransitiveClosureKernel::program(clique_graph(320, 160))};
+  for (const LoopProgram& program : programs) {
+    for (const char* spec : {"AFS", "SS", "TAILOR(0.5)"}) {
+      for (int p : {2, 8}) {
+        const std::string what =
+            program.name + " " + spec + " P=" + std::to_string(p);
+        TraceAnalysisSink analysis;
+        SimOptions in_memory;
+        in_memory.trace = &analysis;
+        auto s1 = make_scheduler(spec);
+        const SimResult r1 = MachineSim(iris(), in_memory).run(program, *s1, p);
+        const std::vector<TraceAnalysis> got = analysis.finish();
+
+        const std::string path = (dir / "cell.cctrace").string();
+        {
+          BinaryTraceSink file(path);
+          SimOptions traced;
+          traced.trace = &file;
+          auto s2 = make_scheduler(spec);
+          const SimResult r2 = MachineSim(iris(), traced).run(program, *s2, p);
+          file.finalize();
+          EXPECT_EQ(r1.makespan, r2.makespan) << what;
+        }
+        const std::vector<TraceAnalysis> want = analyze_trace_file(path);
+        ASSERT_EQ(got.size(), 1u) << what;
+        ASSERT_EQ(want.size(), 1u) << what;
+        expect_same_analysis(got.front(), want.front(), what);
+        EXPECT_TRUE(got.front().conserved()) << what;
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -6,10 +6,11 @@
 //       every registered experiment id with title and kind
 //   afs_sweep run fig04 tab2 [shared flags]
 //   afs_sweep run --all [shared flags]
-//       run experiments in registry order, in one process, sharing one
-//       worker pool (--jobs=N) and one result store. The store defaults
-//       to <out-dir>/.store; --store=DIR moves it, --no-store disables
-//       it. Exit code = first nonzero experiment exit.
+//       run experiments as one cell queue on one worker pool (--jobs=N),
+//       costliest cell first, over one result store, printing each
+//       experiment's block in registry order. The store defaults to
+//       <out-dir>/.store; --store=DIR moves it, --no-store disables it.
+//       Exit code = first nonzero experiment exit.
 //   afs_sweep run --kernel=K --machine=M --schedulers=S1,S2 [--procs=...]
 //       [--perturb=...] [shared flags]
 //       an arbitrary user grid through the same harness (see
@@ -57,7 +58,6 @@
 #include "experiments/bench_cli.hpp"
 #include "experiments/grid.hpp"
 #include "experiments/registry.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sched/registry.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
@@ -230,10 +230,10 @@ int cmd_cache(const std::vector<std::string>& args) {
 
 // SIGINT/SIGTERM in batch mode fire the run's CancelToken cooperatively:
 // running cells stop at the next simulation event boundary, queued cells
-// are discarded, finished cells keep their checkpoints — so a Ctrl-C'd
-// sweep is resumable with --resume and the CSVs are never truncated.
-// CancelToken::cancel() is a lock-free atomic store, which is all a
-// signal handler is allowed to do.
+// never start, and no further block prints — finished cells are already
+// in the store, so rerunning over it picks up where this left off, and
+// the CSVs are never truncated. CancelToken::cancel() is a lock-free
+// atomic store, which is all a signal handler is allowed to do.
 CancelToken* g_batch_cancel = nullptr;
 volatile std::sig_atomic_t g_batch_signal = 0;
 
@@ -298,6 +298,7 @@ int cmd_run(const std::vector<std::string>& args) {
 
   ExperimentContext ctx;
   ctx.cli = cli;
+  ctx.log = &std::cerr;
 
   CancelToken interrupt;
   g_batch_cancel = &interrupt;
@@ -314,14 +315,6 @@ int cmd_run(const std::vector<std::string>& args) {
   if (!cli.no_store) {
     store.emplace(store_root(cli));
     ctx.store = &*store;
-  }
-
-  // One worker pool for every sweep in this invocation. jobs == 1 keeps
-  // the bit-identity reference path (serial in the caller).
-  std::optional<ThreadPool> pool;
-  if (cli.jobs > 1) {
-    pool.emplace(cli.jobs);
-    ctx.pool = &*pool;
   }
 
   // --isolation=process: store-missed cells run in supervised sandbox
@@ -380,11 +373,8 @@ int cmd_run(const std::vector<std::string>& args) {
         selected.push_back(e);
       }
     }
-    for (const Experiment* e : selected) {
-      if (interrupt.cancelled()) break;  // queued experiments never start
-      const int one = run_experiment(*e, ctx, std::cout);
+    for (const int one : run_experiments(selected, ctx, std::cout))
       if (one != 0 && rc == 0) rc = one;
-    }
   }
 
   if (ctx.store) {
@@ -409,7 +399,7 @@ int cmd_run(const std::vector<std::string>& args) {
   if (interrupt.cancelled()) {
     std::cerr << "afs_sweep run: interrupted (signal "
               << static_cast<int>(g_batch_signal)
-              << "); checkpoints are flushed — rerun with --resume to "
+              << "); finished cells are in the store — rerun over it to "
                  "pick up where this left off\n";
     return 130;
   }

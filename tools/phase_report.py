@@ -48,7 +48,7 @@ def render(path):
         print(cells)
         if agg.get("cells_untimed", 0):
             print(f"{'':16}({agg['cells_untimed']} cells untimed — "
-                  "resumed from checkpoint, host timings not stored)")
+                  "served from the store, host timings not stored)")
     acc = doc["sweep"].get("memory_accesses", 0)
     mem = doc["sweep"].get("memory_s", 0.0)
     if acc:
