@@ -139,11 +139,11 @@ SimResult run_figure_cell(const FigureSpec& spec, const SchedulerEntry& se,
   return simulate_cell(spec.machine, spec.program, *sched, procs, options);
 }
 
-SimResult load_or_simulate(ResultStore* store, const CellKey& key,
+SimResult load_or_simulate(CellStore* store, const CellKey& key,
                            const std::function<SimResult()>& simulate) {
   if (store == nullptr) return simulate();
   SimResult r;
-  if (store->load(key, r)) return r;
+  if (store->load(key, r) || store->probing()) return r;
   r = simulate();
   if (key.cacheable) store->save(key, r);
   return r;

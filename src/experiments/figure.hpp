@@ -27,7 +27,7 @@
 
 namespace afs {
 
-class ResultStore;  // store/result_store.hpp — optional, see FigureSpec
+class CellStore;  // store/result_store.hpp — optional, see FigureSpec
 struct CellKey;     // store/cell_key.hpp
 
 /// A named scheduler factory. A fresh scheduler is built per (P, run) so
@@ -74,7 +74,7 @@ struct FigureSpec {
   /// the result is published for every future sweep. Served results are
   /// bit-identical to simulated ones (the store authenticates the full
   /// key text and the serializer round-trips exactly).
-  ResultStore* store = nullptr;
+  CellStore* store = nullptr;
   /// Optional out-of-process executor (not owned) plus the declarative
   /// recipe a worker needs to rebuild this spec (runtime/
   /// cell_executor.hpp). When both are set, each store-missed cell is
@@ -146,8 +146,9 @@ std::uint64_t key_hash(const CellKey& key);
 
 /// The body every cell shares: serves `key` from `store` when it holds
 /// it, else runs `simulate` and publishes its result (cacheable keys
-/// only). Without a store it only simulates.
-SimResult load_or_simulate(ResultStore* store, const CellKey& key,
+/// only). Without a store it only simulates; while the store is probing
+/// a miss returns an empty result without simulating.
+SimResult load_or_simulate(CellStore* store, const CellKey& key,
                            const std::function<SimResult()>& simulate);
 
 /// One simulation on this thread's warm simulator (or a fresh one when

@@ -2,12 +2,14 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "sched/registry.hpp"
 #include "store/cell_key.hpp"
 #include "store/result_store.hpp"
+#include "util/check.hpp"
 
 namespace afs {
 
@@ -31,31 +33,15 @@ const Experiment* find_experiment(const std::string& id) {
   return nullptr;
 }
 
-std::vector<int> run_experiments(
-    const std::vector<const Experiment*>& experiments,
-    const ExperimentContext& ctx, std::ostream& out) {
-  std::vector<int> codes;
-  if (experiments.empty()) return codes;
-  const auto header = [&out](const Experiment& e) {
-    out << "== " << e.id << ": " << e.title << " ==" << std::endl;
-  };
-  // The first byte goes out before anything is planned: it is the run's
-  // set-up latency.
-  header(*experiments.front());
-
-  struct Block {
-    std::function<int(std::vector<CellOutcome>&, std::ostream&)> render;
-    std::vector<CellOutcome> outcomes;
-    std::size_t first = 0;    // index of the block's first cell in the queue
-    std::size_t pending = 0;  // cells still running or queued
-  };
-  std::vector<Block> blocks;
-  std::vector<SweepCellSpec> cells;
-  std::vector<std::size_t> owner;  // cell -> block
-  for (const Experiment* e : experiments) {
+ExperimentRun::ExperimentRun(std::vector<const Experiment*> experiments,
+                             const ExperimentContext& ctx, std::ostream& out)
+    : experiments_(std::move(experiments)), ctx_(ctx), out_(out) {
+  AFS_CHECK(!experiments_.empty());
+  header(*experiments_.front());
+  for (const Experiment* e : experiments_) {
     ExperimentPlan plan;
     try {
-      plan = e->plan(ctx);
+      plan = e->plan(ctx_);
     } catch (const std::exception& ex) {
       // Reported in registry order, like any other failed render.
       plan.render = [what = std::string(ex.what())](
@@ -65,59 +51,112 @@ std::vector<int> run_experiments(
     }
     Block b;
     b.render = std::move(plan.render);
-    b.first = cells.size();
+    b.first = cells_.size();
     b.pending = plan.cells.size();
     b.outcomes.resize(plan.cells.size());
     for (SweepCellSpec& c : plan.cells) {
       if (c.after >= 0) c.after += static_cast<int>(b.first);
-      cells.push_back(std::move(c));
-      owner.push_back(blocks.size());
+      cells_.push_back(std::move(c));
+      owner_.push_back(blocks_.size());
     }
-    blocks.push_back(std::move(b));
+    blocks_.push_back(std::move(b));
   }
-
-  // Prints every block whose cells, and every earlier block's, are done.
-  std::size_t next = 0;
-  const auto print_ready = [&] {
-    for (; next < blocks.size() && blocks[next].pending == 0; ++next) {
-      if (ctx.cancel != nullptr && ctx.cancel->cancelled()) return;
-      const Experiment& e = *experiments[next];
-      if (next > 0) header(e);
-      Block& b = blocks[next];
-      if (ctx.on_cell_failure)
-        for (const CellOutcome& o : b.outcomes)
-          if (!o.result) ctx.on_cell_failure(e.id, o.failure);
-      int rc = EXIT_FAILURE;
-      try {
-        rc = b.render(b.outcomes, out);
-      } catch (const std::exception& ex) {
-        std::cerr << e.id << " failed: " << ex.what() << "\n";
-      }
-      out << std::flush;
-      codes.push_back(rc);
-      b = Block{};  // the block is out: release its plan and results
-    }
-  };
   print_ready();  // blocks without cells
+}
 
-  const bench::BenchCli& cli = ctx.cli;
+void ExperimentRun::header(const Experiment& e) {
+  out_ << "== " << e.id << ": " << e.title << " ==" << std::endl;
+}
+
+std::vector<SweepCellSpec> ExperimentRun::take_cells() {
+  return std::move(cells_);
+}
+
+std::vector<SweepCellSpec> ExperimentRun::take_misses(
+    StoreView& view, std::vector<std::size_t>& index) {
+  std::vector<SweepCellSpec> cells = take_cells();
+  link_cells(cells);
+  std::vector<SweepCellSpec> misses;
+  index.clear();
+  // Plan index -> position among the misses, or -1 once it has landed.
+  std::vector<int> queued(cells.size(), -1);
+  const CancelToken never;
+  view.set_probing(true);
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    SweepCellSpec& c = cells[k];
+    const int pred_queued =
+        c.after >= 0 ? queued[static_cast<std::size_t>(c.after)] : -1;
+    if (pred_queued < 0) {
+      // The cell's single lookup counts a hit exactly when it is served.
+      const std::int64_t hits = view.hits();
+      std::optional<SimResult> result;
+      try {
+        result = c.run(never);
+      } catch (...) {
+        // Left for the queue to classify when the cell runs for real.
+      }
+      if (result && view.hits() > hits) {
+        land(k, CellOutcome{std::move(result), {}});
+        continue;
+      }
+    }
+    c.after = pred_queued;
+    queued[k] = static_cast<int>(misses.size());
+    misses.push_back(std::move(c));
+    index.push_back(k);
+  }
+  view.set_probing(false);
+  return misses;
+}
+
+void ExperimentRun::land(std::size_t k, CellOutcome outcome) {
+  Block& b = blocks_[owner_[k]];
+  b.outcomes[k - b.first] = std::move(outcome);
+  --b.pending;
+  print_ready();
+}
+
+void ExperimentRun::print_ready() {
+  for (; next_ < blocks_.size() && blocks_[next_].pending == 0; ++next_) {
+    if (ctx_.cancel != nullptr && ctx_.cancel->cancelled()) return;
+    const Experiment& e = *experiments_[next_];
+    if (next_ > 0) header(e);
+    Block& b = blocks_[next_];
+    if (ctx_.on_cell_failure)
+      for (const CellOutcome& o : b.outcomes)
+        if (!o.result) ctx_.on_cell_failure(e.id, o.failure);
+    int rc = EXIT_FAILURE;
+    try {
+      rc = b.render(b.outcomes, out_);
+    } catch (const std::exception& ex) {
+      std::cerr << e.id << " failed: " << ex.what() << "\n";
+    }
+    out_ << std::flush;
+    codes_.push_back(rc);
+    b = Block{};  // the block is out: release its plan and results
+  }
+}
+
+SweepOptions sweep_options(const ExperimentContext& ctx) {
   SweepOptions sweep;
-  sweep.jobs = cli.jobs;
-  sweep.cell_timeout = cli.cell_timeout;
-  sweep.sweep_timeout = cli.sweep_timeout;
-  if (cli.cell_retries >= 0) sweep.max_retries = cli.cell_retries;
-  sweep.pool = ctx.pool;
+  sweep.jobs = ctx.cli.jobs;
+  sweep.cell_timeout = ctx.cli.cell_timeout;
+  sweep.sweep_timeout = ctx.cli.sweep_timeout;
+  if (ctx.cli.cell_retries >= 0) sweep.max_retries = ctx.cli.cell_retries;
   sweep.cancel = ctx.cancel;
+  return sweep;
+}
+
+std::vector<int> run_experiments(
+    const std::vector<const Experiment*>& experiments,
+    const ExperimentContext& ctx, std::ostream& out) {
+  if (experiments.empty()) return {};
+  ExperimentRun run(experiments, ctx, out);
   run_sweep(
-      std::move(cells), sweep,
-      [&](std::size_t k, CellOutcome o) {
-        Block& b = blocks[owner[k]];
-        b.outcomes[k - b.first] = std::move(o);
-        --b.pending;
-        print_ready();
-      },
+      run.take_cells(), sweep_options(ctx),
+      [&run](std::size_t k, CellOutcome o) { run.land(k, std::move(o)); },
       ctx.log);
-  return codes;
+  return run.codes();
 }
 
 int run_experiment(const Experiment& e, const ExperimentContext& ctx,
@@ -183,7 +222,7 @@ Experiment table_experiment(
   return e;
 }
 
-SimResult run_table_cell(ResultStore* store, const MachineConfig& machine,
+SimResult run_table_cell(CellStore* store, const MachineConfig& machine,
                          const LoopProgram& program,
                          const std::string& sched_spec, int procs,
                          SimOptions options, const CancelToken& token) {

@@ -7,8 +7,9 @@
 // rows) and renders its block and paper shape checks from their results,
 // so the afs_sweep driver — the one entry point, `afs_sweep run <id>` —
 // runs any subset of experiments as one cell queue on one worker pool
-// over one content-addressed result store (docs/SWEEP_RUNNER.md,
-// docs/SWEEP_SERVICE.md).
+// over one content-addressed result store, and the daemon answers a
+// request's store hits at admission and queues only its misses
+// (docs/SWEEP_RUNNER.md, docs/SWEEP_SERVICE.md).
 #pragma once
 
 #include <functional>
@@ -23,8 +24,8 @@
 
 namespace afs {
 
-class ResultStore;
-class ThreadPool;
+class CellStore;
+class StoreView;
 struct CellKey;
 
 enum class ExperimentKind {
@@ -33,13 +34,11 @@ enum class ExperimentKind {
   kMicro,   ///< a google-benchmark binary; listed, not runnable in-process
 };
 
-/// Everything an experiment needs from its caller. The store and pool are
-/// borrowed (not owned) and optional: without a store every cell is
-/// simulated; without a pool --jobs > 1 builds its own workers.
+/// Everything an experiment needs from its caller. The store is borrowed
+/// (not owned) and optional: without one every cell is simulated.
 struct ExperimentContext {
   bench::BenchCli cli;
-  ResultStore* store = nullptr;
-  ThreadPool* pool = nullptr;
+  CellStore* store = nullptr;
   /// Optional caller-side cancellation (not owned): a service request
   /// deadline or the batch driver's SIGINT/SIGTERM token. The queue
   /// chains it under SweepOptions::cancel; once it fires, running cells
@@ -86,14 +85,76 @@ const std::vector<Experiment>& all_experiments();
 /// Lookup by id; nullptr when unknown.
 const Experiment* find_experiment(const std::string& id);
 
-/// Runs `experiments` as one queue: prints the first one's header, plans
-/// them all, submits every cell to the one --jobs pool (costliest first;
-/// --jobs=1 runs them in the caller in registry and declaration order),
-/// and prints each block — "== id: title ==" plus its render — in the
-/// given order, as soon as it and every block before it are complete. A
-/// block's plan and results are released once it prints. Returns one
-/// exit code per printed block; fewer than experiments.size() only when
-/// ctx.cancel fired.
+/// Experiments planned as one list of cells, whose blocks — "== id:
+/// title ==" plus the render — print in the given order as the cells'
+/// outcomes land: a block prints once it and every block before it are
+/// complete, and its plan and results are released then. Once
+/// ctx.cancel fires no further block prints. run_experiments feeds it
+/// from run_sweep; the daemon serves a request's store hits at admission
+/// (take_misses) and feeds it the rest from its shared queue.
+class ExperimentRun {
+ public:
+  /// Prints the first experiment's header (before anything is planned:
+  /// the first byte is the run's set-up latency), then plans them all.
+  /// `experiments` must not be empty; the context must outlive the run.
+  ExperimentRun(std::vector<const Experiment*> experiments,
+                const ExperimentContext& ctx, std::ostream& out);
+
+  /// Every planned cell, in experiment then declaration order. Call once.
+  std::vector<SweepCellSpec> take_cells();
+
+  /// Admission: runs each cell's closure with `view` (the store the
+  /// cells were planned with) probing, so a stored cell lands at once
+  /// and a missing one stops before it simulates. Returns the cells
+  /// still to run, in order, with `index` mapping each back to its plan
+  /// index. A cell that runs after one still to run (a repeated key, a
+  /// dependent cell) is not looked up now: it runs after that one, edge
+  /// remapped. Call once, instead of take_cells.
+  std::vector<SweepCellSpec> take_misses(StoreView& view,
+                                         std::vector<std::size_t>& index);
+
+  /// Files cell k's outcome and prints every block now complete.
+  void land(std::size_t k, CellOutcome outcome);
+
+  /// The experiments, in block order.
+  const std::vector<const Experiment*>& experiments() const {
+    return experiments_;
+  }
+  /// One exit code per printed block; fewer than experiments().size()
+  /// until every block printed, or for good once ctx.cancel fired.
+  const std::vector<int>& codes() const { return codes_; }
+
+ private:
+  struct Block {
+    std::function<int(std::vector<CellOutcome>&, std::ostream&)> render;
+    std::vector<CellOutcome> outcomes;
+    std::size_t first = 0;    // index of the block's first cell
+    std::size_t pending = 0;  // cells not landed yet
+  };
+
+  void header(const Experiment& e);
+  void print_ready();
+
+  std::vector<const Experiment*> experiments_;
+  const ExperimentContext& ctx_;
+  std::ostream& out_;
+  std::vector<Block> blocks_;
+  std::vector<SweepCellSpec> cells_;
+  std::vector<std::size_t> owner_;  // cell -> block
+  std::size_t next_ = 0;            // first block not printed
+  std::vector<int> codes_;
+};
+
+/// The queue options of a run under `ctx`: --jobs, the cell and sweep
+/// timeouts, --cell-retries and the caller's token.
+SweepOptions sweep_options(const ExperimentContext& ctx);
+
+/// Runs `experiments` as one queue (an ExperimentRun fed by run_sweep):
+/// every cell on the one --jobs pool, costliest first (--jobs=1 runs them
+/// in the caller in registry and declaration order), each block printed
+/// in the given order as soon as it and every block before it are
+/// complete. Returns one exit code per printed block; fewer than
+/// experiments.size() only when ctx.cancel fired.
 std::vector<int> run_experiments(
     const std::vector<const Experiment*>& experiments,
     const ExperimentContext& ctx, std::ostream& out);
@@ -144,7 +205,7 @@ SweepCellSpec table_cell(const ExperimentContext& ctx, std::string label,
 
 /// The body of a table cell, for cells whose options are only known when
 /// they run (they depend on an earlier cell's result).
-SimResult run_table_cell(ResultStore* store, const MachineConfig& machine,
+SimResult run_table_cell(CellStore* store, const MachineConfig& machine,
                          const LoopProgram& program,
                          const std::string& sched_spec, int procs,
                          SimOptions options, const CancelToken& token);

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "runtime/cell_executor.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -271,8 +270,8 @@ CellOutcome attempt_cell(const SweepCellSpec& cell,
       out.result = cell.run(token);
       return out;
     } catch (const CancelledError& e) {
-      // A queue-wide cancellation and a cell deadline both surface here;
-      // the queue token disambiguates. Neither is retried — a timed-out
+      // A batch-wide cancellation and a cell deadline both surface here;
+      // the batch token disambiguates. Neither is retried — a timed-out
       // cell would time out again.
       return fail(queue_token.cancelled() ? "cancelled" : "timeout", e.what(),
                   attempts);
@@ -323,52 +322,223 @@ CellOutcome inherited_failure(const SweepCellSpec& cell,
   return out;
 }
 
+/// Cell k of a batch: its predecessor's failure, or its own attempts.
+CellOutcome run_one(const std::vector<SweepCellSpec>& cells,
+                    const std::vector<std::optional<CellFailure>>& failed,
+                    std::size_t k, const CancelToken& token,
+                    const SweepOptions& opts, std::mutex& log_mu,
+                    std::ostream* log) {
+  const SweepCellSpec& c = cells[k];
+  if (c.after >= 0 && failed[static_cast<std::size_t>(c.after)])
+    return inherited_failure(c, cells[static_cast<std::size_t>(c.after)],
+                             *failed[static_cast<std::size_t>(c.after)]);
+  return attempt_cell(c, token, opts, log_mu, log);
+}
+
+/// Calls a sink notice, one at a time per batch. A sink that throws ends
+/// the program: a lost outcome would leave its submitter waiting forever.
+template <typename F>
+void notify_sink(std::mutex& mu, F&& f) noexcept {
+  std::scoped_lock lock(mu);
+  f();
+}
+
 }  // namespace
+
+std::vector<std::vector<std::size_t>> link_cells(
+    std::vector<SweepCellSpec>& cells) {
+  std::vector<std::vector<std::size_t>> dependents(cells.size());
+  std::unordered_map<std::uint64_t, std::size_t> first;
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    SweepCellSpec& c = cells[k];
+    AFS_CHECK_MSG(c.run != nullptr && !c.label.empty(),
+                  "cell " << k << " has no runner or empty label");
+    AFS_CHECK_MSG(c.after < static_cast<int>(k),
+                  "cell " << k << " runs after a later cell " << c.after);
+    if (c.key != 0) {
+      const auto [it, fresh] = first.emplace(c.key, k);
+      if (!fresh && c.after < 0) c.after = static_cast<int>(it->second);
+    }
+    if (c.after >= 0)
+      dependents[static_cast<std::size_t>(c.after)].push_back(k);
+  }
+  return dependents;
+}
+
+struct CellQueue::Batch {
+  Batch(std::vector<SweepCellSpec> c, const SweepOptions& o, BatchSink s,
+        std::ostream* l)
+      : cells(std::move(c)),
+        opts(o),
+        own_token(o.cancel),
+        token(o.cancel != nullptr && o.sweep_timeout <= 0.0 ? o.cancel
+                                                            : &own_token),
+        sink(std::move(s)),
+        log(l),
+        failed(cells.size()),
+        unlanded(cells.size()) {}
+
+  std::vector<SweepCellSpec> cells;
+  SweepOptions opts;
+  // The token the batch's cells chain to: the caller's own, unless the
+  // batch needs a deadline of its own (or has no caller token). Every
+  // simulated event polls the chain, so it is kept no longer than that.
+  CancelToken own_token;  // child of opts.cancel, armed with sweep_timeout
+  const CancelToken* token;
+  BatchSink sink;
+  std::ostream* log;
+  std::vector<std::vector<std::size_t>> dependents;
+  // Failed cells, kept for the cells that run after them. Written under
+  // the queue's mutex before any dependent is made ready.
+  std::vector<std::optional<CellFailure>> failed;
+  std::uint64_t seq = 0;
+  // Guarded by the queue's mutex:
+  std::size_t queued = 0;    // cells in the ready heap
+  std::size_t unlanded = 0;  // cells not yet handed to the sink
+  bool started = false;
+  std::mutex sink_mu;  // one sink call at a time
+};
+
+bool CellQueue::Ready::operator<(const Ready& o) const {
+  if (batch != o.batch) return batch > o.batch;
+  return cost != o.cost ? cost < o.cost : cell > o.cell;
+}
+
+CellQueue::CellQueue(int workers) : pool_(workers) {
+  for (int w = 0; w < workers; ++w) pool_.submit([this] { worker_loop(); });
+}
+
+CellQueue::~CellQueue() {
+  {
+    std::unique_lock lock(mu_);
+    idle_cv_.wait(lock, [this] { return batches_.empty(); });
+    stop_ = true;
+  }
+  work_cv_.notify_all();
+  pool_.drain();
+}
+
+void CellQueue::submit(std::vector<SweepCellSpec> cells,
+                       const SweepOptions& opts, BatchSink sink,
+                       std::ostream* log) {
+  opts.validate();
+  if (cells.empty()) return;
+  auto b = std::make_shared<Batch>(std::move(cells), opts, std::move(sink),
+                                   log);
+  b->dependents = link_cells(b->cells);
+  if (opts.sweep_timeout > 0.0) b->own_token.set_timeout(opts.sweep_timeout);
+  {
+    std::scoped_lock lock(mu_);
+    b->seq = next_batch_++;
+    for (std::size_t k = 0; k < b->cells.size(); ++k) {
+      if (b->cells[k].after >= 0) continue;
+      ready_.push_back({b->cells[k].cost, b->seq, k, b.get()});
+      std::push_heap(ready_.begin(), ready_.end());
+      ++b->queued;
+    }
+    batches_.push_back(std::move(b));
+    // Under the lock: once it is released, a batch that already landed
+    // may let the queue's owner destroy the queue.
+    work_cv_.notify_all();
+  }
+}
+
+void CellQueue::take_cancelled(std::vector<Ready>& doomed) {
+  const bool any = std::any_of(
+      batches_.begin(), batches_.end(), [](const std::shared_ptr<Batch>& b) {
+        return b->queued > 0 && b->token->cancelled();
+      });
+  if (!any) return;
+  const auto keep =
+      std::partition(ready_.begin(), ready_.end(), [](const Ready& r) {
+        return !r.owner->token->cancelled();
+      });
+  doomed.assign(keep, ready_.end());
+  ready_.erase(keep, ready_.end());
+  std::make_heap(ready_.begin(), ready_.end());
+  for (const Ready& r : doomed) --r.owner->queued;
+}
+
+void CellQueue::worker_loop() {
+  std::unique_lock lock(mu_);
+  for (;;) {
+    // A fired batch's queued cells fail first, and at once, rather than
+    // waiting under costlier cells of the batches still running.
+    std::vector<Ready> doomed;
+    take_cancelled(doomed);
+    if (!doomed.empty()) {
+      lock.unlock();
+      for (const Ready& r : doomed) run_cell(r);
+      lock.lock();
+      continue;
+    }
+    if (ready_.empty()) {
+      if (stop_) return;
+      work_cv_.wait(lock);
+      continue;
+    }
+    std::pop_heap(ready_.begin(), ready_.end());
+    const Ready r = ready_.back();
+    ready_.pop_back();
+    Batch& b = *r.owner;
+    --b.queued;
+    const bool first = !std::exchange(b.started, true);
+    lock.unlock();
+    if (first && b.sink.on_start) notify_sink(b.sink_mu, b.sink.on_start);
+    run_cell(r);
+    lock.lock();
+  }
+}
+
+void CellQueue::run_cell(const Ready& r) {
+  Batch& b = *r.owner;
+  CellOutcome o =
+      run_one(b.cells, b.failed, r.cell, *b.token, b.opts, log_mu_, b.log);
+  b.cells[r.cell].run = nullptr;
+  {
+    std::scoped_lock lock(mu_);
+    if (!o.result) b.failed[r.cell] = o.failure;
+    for (std::size_t d : b.dependents[r.cell]) {
+      ready_.push_back({b.cells[d].cost, b.seq, d, &b});
+      std::push_heap(ready_.begin(), ready_.end());
+      ++b.queued;
+    }
+    if (!b.dependents[r.cell].empty()) work_cv_.notify_all();
+  }
+  notify_sink(b.sink_mu, [&] { b.sink.on_done(r.cell, std::move(o)); });
+
+  // The last outcome retires the batch; it is destroyed outside the lock
+  // (its sink and closures may own a whole request's state).
+  std::shared_ptr<Batch> retired;
+  {
+    std::scoped_lock lock(mu_);
+    if (--b.unlanded == 0) {
+      const auto it = std::find_if(
+          batches_.begin(), batches_.end(),
+          [&b](const std::shared_ptr<Batch>& x) { return x.get() == &b; });
+      retired = std::move(*it);
+      batches_.erase(it);
+      idle_cv_.notify_all();
+    }
+  }
+}
 
 void run_sweep(std::vector<SweepCellSpec> cells, const SweepOptions& opts,
                const CellDoneFn& on_done, std::ostream* log) {
   opts.validate();
   const std::size_t n = cells.size();
 
-  // Edges: an explicit `after`, else a repeated key's first instance.
-  std::vector<std::vector<std::size_t>> dependents(n);
-  {
-    std::unordered_map<std::uint64_t, std::size_t> first;
-    for (std::size_t k = 0; k < n; ++k) {
-      SweepCellSpec& c = cells[k];
-      AFS_CHECK_MSG(c.run != nullptr && !c.label.empty(),
-                    "cell " << k << " has no runner or empty label");
-      AFS_CHECK_MSG(c.after < static_cast<int>(k),
-                    "cell " << k << " runs after a later cell " << c.after);
-      if (c.key != 0) {
-        const auto [it, fresh] = first.emplace(c.key, k);
-        if (!fresh && c.after < 0) c.after = static_cast<int>(it->second);
-      }
-      if (c.after >= 0)
-        dependents[static_cast<std::size_t>(c.after)].push_back(k);
-    }
-  }
-
-  CancelToken queue_token(opts.cancel);
-  if (opts.sweep_timeout > 0.0) queue_token.set_timeout(opts.sweep_timeout);
-  std::mutex log_mu;
-  // Failed cells, kept for the cells that run after them.
-  std::vector<std::optional<CellFailure>> failed(n);
-
-  const auto run_one = [&](std::size_t k) {
-    const SweepCellSpec& c = cells[k];
-    if (c.after >= 0 && failed[static_cast<std::size_t>(c.after)])
-      return inherited_failure(c, cells[static_cast<std::size_t>(c.after)],
-                               *failed[static_cast<std::size_t>(c.after)]);
-    return attempt_cell(c, queue_token, opts, log_mu, log);
-  };
-
-  if (opts.jobs == 1) {
+  if (opts.queue == nullptr && opts.jobs == 1) {
     // Serial mode runs in the caller's thread in declaration order — the
     // bit-identity reference ordering. Every edge points backwards, so
     // each cell's predecessor has already finished.
+    link_cells(cells);
+    CancelToken token(opts.cancel);
+    if (opts.sweep_timeout > 0.0) token.set_timeout(opts.sweep_timeout);
+    std::mutex log_mu;
+    std::vector<std::optional<CellFailure>> failed(n);
     for (std::size_t k = 0; k < n; ++k) {
-      CellOutcome o = run_one(k);
+      CellOutcome o = run_one(cells, failed, k, token, opts, log_mu, log);
       cells[k].run = nullptr;
       if (!o.result) failed[k] = o.failure;
       on_done(k, std::move(o));
@@ -376,82 +546,45 @@ void run_sweep(std::vector<SweepCellSpec> cells, const SweepOptions& opts,
     return;
   }
 
-  // Pooled mode: the ready cells sit in a max-heap by cost; a cell joins
-  // it once its predecessor finishes. Workers pop the costliest; the
-  // caller's thread only hands outcomes to on_done.
+  // One batch, waited for: outcomes land in a mailbox that the caller's
+  // thread empties into on_done. The sink notifies under the mailbox
+  // lock, so once the last outcome is taken nothing touches this frame.
+  CancelToken abort(opts.cancel);
+  SweepOptions batch = opts;
+  batch.cancel = &abort;
   std::mutex mu;
-  std::condition_variable work_cv, done_cv;
-  const auto costlier = [&cells](std::size_t a, std::size_t b) {
-    return cells[a].cost != cells[b].cost ? cells[a].cost < cells[b].cost
-                                          : a > b;
-  };
-  std::vector<std::size_t> ready;
-  for (std::size_t k = 0; k < n; ++k)
-    if (cells[k].after < 0) ready.push_back(k);
-  std::make_heap(ready.begin(), ready.end(), costlier);
-  std::deque<std::pair<std::size_t, CellOutcome>> finished;
-  int running = 0;
+  std::condition_variable landed_cv;
+  std::deque<std::pair<std::size_t, CellOutcome>> landed;
+  std::optional<CellQueue> own;  // destroyed first: waits for the batch
+  CellQueue& queue = opts.queue ? *opts.queue : own.emplace(opts.jobs);
+  queue.submit(std::move(cells), batch,
+               {nullptr,
+                [&](std::size_t k, CellOutcome o) {
+                  std::scoped_lock lock(mu);
+                  landed.emplace_back(k, std::move(o));
+                  landed_cv.notify_one();
+                }},
+               log);
 
-  // Pre: mu held. Files cell k's outcome and releases its dependents.
-  const auto complete = [&](std::size_t k, CellOutcome o) {
-    if (!o.result) failed[k] = o.failure;
-    finished.emplace_back(k, std::move(o));
-    for (std::size_t d : dependents[k]) {
-      ready.push_back(d);
-      std::push_heap(ready.begin(), ready.end(), costlier);
-    }
-    work_cv.notify_all();
-    done_cv.notify_one();
-  };
-
-  const auto worker = [&] {
+  std::size_t received = 0;
+  const auto take = [&] {
+    std::deque<std::pair<std::size_t, CellOutcome>> got;
     std::unique_lock lock(mu);
-    for (;;) {
-      if (ready.empty()) {
-        // Nothing ready and nothing running: every cell has finished.
-        if (running == 0) return;
-        work_cv.wait(lock);
-        continue;
-      }
-      std::pop_heap(ready.begin(), ready.end(), costlier);
-      const std::size_t k = ready.back();
-      ready.pop_back();
-      ++running;
-      lock.unlock();
-      CellOutcome o = run_one(k);
-      cells[k].run = nullptr;
-      lock.lock();
-      --running;
-      complete(k, std::move(o));
-    }
+    landed_cv.wait(lock, [&] { return !landed.empty(); });
+    got.swap(landed);
+    received += got.size();
+    return got;
   };
-
-  std::optional<ThreadPool> own;
-  ThreadPool& pool = opts.pool ? *opts.pool : own.emplace(opts.jobs);
-  const std::size_t workers =
-      std::min(n, static_cast<std::size_t>(pool.size()));
-  for (std::size_t w = 0; w < workers; ++w) pool.submit(worker);
-
   try {
-    for (std::size_t reported = 0; reported < n;) {
-      std::deque<std::pair<std::size_t, CellOutcome>> batch;
-      {
-        std::unique_lock lock(mu);
-        done_cv.wait(lock, [&] { return !finished.empty(); });
-        batch.swap(finished);
-      }
-      for (auto& [k, o] : batch) {
-        on_done(k, std::move(o));
-        ++reported;
-      }
-    }
+    while (received < n)
+      for (auto& [k, o] : take()) on_done(k, std::move(o));
   } catch (...) {
-    // The workers still reference this frame: stop them before unwinding.
-    queue_token.cancel();
-    pool.drain();
+    // The batch still delivers into this frame: cancel it and let every
+    // remaining cell land before unwinding.
+    abort.cancel();
+    while (received < n) take();
     throw;
   }
-  pool.drain();
 }
 
 }  // namespace afs

@@ -1,13 +1,13 @@
 // The run queue: every cell of a run — all the experiments one
-// `afs_sweep run` or daemon request selected — on one pool.
+// `afs_sweep run` or daemon request selected — on one pool, and in the
+// daemon every request's cells on the same pool.
 //
 // A cell is one simulation, loaded from the store or simulated. Cell
 // costs are skewed (under a millisecond to over half a second), which is
 // the paper's own problem one level up: a self-scheduled queue of coarse,
 // skewed units loses at the tail unless the big units start first. So
-// run_sweep() starts the costliest ready cell first and hands each
-// outcome back to the caller's thread as it lands, with production-
-// harness semantics:
+// the queue starts the costliest ready cell first and hands each outcome
+// back to its submitter as it lands, with production-harness semantics:
 //
 //   * per-cell fault isolation — an exception inside one cell becomes a
 //     structured CellFailure record; the rest of the queue completes;
@@ -23,29 +23,37 @@
 //     plus the failure list; only invariant breaks (CheckFailure) are
 //     meant to fail a binary.
 //
-// The store is the only checkpoint: a killed run resumes by rerunning
-// over the same store.
+// A CellQueue is long-lived and shared: each submitter adds a *batch* —
+// its cells, options, parent token and outcome sink — and all batches
+// run on the one worker pool: the earliest batch's costliest ready cell
+// first, a later batch's cells on the workers the earlier ones leave
+// idle. run_sweep() is one batch, waited for. The store is the only
+// checkpoint: a killed run resumes by rerunning over the same store.
 //
 // Determinism: each cell builds its own scheduler and a reset simulator,
 // so its SimResult depends only on (machine, program, scheduler, P, seed)
-// — not on which thread ran it or in what order. With jobs == 1 every
-// cell runs in the caller's thread in declaration order, the bit-identity
-// reference. See docs/SWEEP_RUNNER.md.
+// — not on which thread ran it or in what order. With jobs == 1 and no
+// queue every cell runs in the caller's thread in declaration order, the
+// bit-identity reference. See docs/SWEEP_RUNNER.md.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "runtime/thread_pool.hpp"
 #include "sim/sim_result.hpp"
 #include "util/cancel.hpp"
 
 namespace afs {
 
-class ThreadPool;
+class CellQueue;
 
 /// One unit of the queue. `run` must be thread-safe against the other
 /// cells' closures (each should build its own simulator/scheduler) and
@@ -72,9 +80,9 @@ struct CellFailure {
   std::string label;
   int procs = 0;
   /// "timeout"   — the cell's own deadline fired;
-  /// "cancelled" — the queue-wide token fired (caller abort or
-  ///               --sweep-timeout) before or during the cell, including
-  ///               queued cells never started;
+  /// "cancelled" — the batch's token fired (caller abort, request
+  ///               deadline or --sweep-timeout) before or during the
+  ///               cell, including queued cells never started;
   /// "invariant" — CheckFailure: a broken engine/scheduler contract;
   /// "poison"    — PoisonedCellError: the cell crashed its executor's
   ///               workers repeatedly and is blacklisted (never retried);
@@ -96,19 +104,18 @@ struct CellOutcome {
 struct SweepOptions {
   int jobs = 1;              ///< worker threads; 1 = serial in-caller-thread
   double cell_timeout = 0.0;   ///< seconds of wall clock per attempt; 0 = off
-  double sweep_timeout = 0.0;  ///< seconds for the whole queue; 0 = off
+  double sweep_timeout = 0.0;  ///< seconds for the whole batch; 0 = off
   int max_retries = 2;         ///< re-attempts after the first try
   double backoff_base = 0.05;  ///< seconds; first retry delay scale
   double backoff_max = 2.0;    ///< seconds; backoff growth cap
   std::uint64_t retry_seed = 0xaf55eedULL;  ///< jitters the retry schedule
-  /// Borrowed worker pool (not owned), so every run in a process (the
-  /// daemon's requests) shares one set of worker threads. It must be idle
-  /// when run_sweep is called; run_sweep drains it before returning.
-  /// Without one, jobs > 1 builds a private pool of `jobs` threads. With
-  /// jobs == 1 the pool is ignored and cells run in the caller's thread.
-  ThreadPool* pool = nullptr;
+  /// Borrowed long-lived queue (not owned) for run_sweep: its cells run
+  /// there, beside any other batches, whatever `jobs` says. Without one,
+  /// jobs > 1 builds a private queue of `jobs` workers, and jobs == 1
+  /// runs the cells in the caller's thread.
+  CellQueue* queue = nullptr;
   /// Optional parent cancellation token (not owned; must outlive the
-  /// run). The queue-wide token is its child, so a caller-side abort — a
+  /// batch). The batch token is its child, so a caller-side abort — a
   /// service request deadline, a SIGINT in the batch driver — cancels
   /// like --sweep-timeout: running cells stop at the next event boundary
   /// and queued cells fail as "cancelled" without starting.
@@ -120,16 +127,91 @@ struct SweepOptions {
   void validate() const;
 };
 
-/// Receives cell k's outcome, on the caller's thread.
+/// Receives cell k's outcome.
 using CellDoneFn = std::function<void(std::size_t k, CellOutcome outcome)>;
 
-/// Runs `cells` as one queue under `opts`: with jobs > 1 on the pool,
-/// costliest ready cell first; with jobs == 1 in the caller's thread in
-/// declaration order. Calls `on_done` once per cell, on the caller's
-/// thread, as each cell finishes, and releases each cell's closure as it
-/// finishes. Retry notices and failures go to `log` when non-null. If
-/// `on_done` throws, the queue is cancelled and drained before the
-/// exception propagates.
+/// How a batch's submitter hears back. Both run on the queue's worker
+/// threads, never two at once for one batch, and must not throw (one
+/// that does ends the program rather than lose an outcome).
+struct BatchSink {
+  /// Optional: the batch's first cell is about to start.
+  std::function<void()> on_start;
+  /// Cell k's outcome, once per cell, as it lands.
+  CellDoneFn on_done;
+};
+
+/// The long-lived cell queue: `workers` threads shared by every batch
+/// submitted to it. Ready cells of all batches wait in one heap: batches
+/// in submission order, a batch's cells costliest first (declaration
+/// order breaking ties), so a worker only takes a later batch's cell when
+/// no earlier batch has one ready: batches interleaved by cost would each
+/// finish about when all of them do. A cell becomes ready once the cell
+/// it runs after has landed. A batch whose token fires has its queued cells
+/// failed as "cancelled" without running, while the other batches' cells
+/// run on.
+class CellQueue {
+ public:
+  explicit CellQueue(int workers);
+  /// Waits for every submitted batch to land, then joins the workers.
+  ~CellQueue();
+
+  CellQueue(const CellQueue&) = delete;
+  CellQueue& operator=(const CellQueue&) = delete;
+
+  /// Adds `cells` as one batch under `opts` (its timeouts, retries and
+  /// parent token; `jobs` and `queue` are the queue's business) and
+  /// returns at once. Edges are checked here: throws CheckFailure on a
+  /// cell without a runner or label, or one that runs after a later
+  /// cell. Each cell's closure is released once it has run. Retry
+  /// notices and failures go to `log` when non-null. An empty batch is
+  /// never heard from.
+  void submit(std::vector<SweepCellSpec> cells, const SweepOptions& opts,
+              BatchSink sink, std::ostream* log = nullptr);
+
+ private:
+  struct Batch;
+  struct Ready {
+    double cost;
+    std::uint64_t batch;  // submission order
+    std::size_t cell;     // declaration order within the batch
+    Batch* owner;
+    /// Heap order: the earliest batch on top, then its costliest cell,
+    /// then its earliest-declared one.
+    bool operator<(const Ready& o) const;
+  };
+
+  void worker_loop();
+  /// Pre: mu_ held. Moves the queued cells of every batch whose token
+  /// has fired out of the heap into `doomed`.
+  void take_cancelled(std::vector<Ready>& doomed);
+  /// Runs (or fails) one popped cell and hands its outcome over.
+  void run_cell(const Ready& r);
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // a cell became ready, or stop_
+  std::condition_variable idle_cv_;  // a batch fully landed
+  std::vector<Ready> ready_;         // max-heap by Ready::operator<
+  std::vector<std::shared_ptr<Batch>> batches_;  // submitted, not landed
+  std::uint64_t next_batch_ = 0;
+  bool stop_ = false;
+  std::mutex log_mu_;  // one log line at a time, across batches
+  ThreadPool pool_;    // runs one worker_loop per thread
+};
+
+/// Sets the edges of a batch — a cell keeps an explicit `after`, else a
+/// repeated key runs after its first instance — and checks them: throws
+/// CheckFailure on a cell without a runner or label, or one that runs
+/// after a later cell. Returns each cell's dependents.
+std::vector<std::vector<std::size_t>> link_cells(
+    std::vector<SweepCellSpec>& cells);
+
+/// Runs `cells` as one batch under `opts` and waits for it: on
+/// opts.queue when set, else with jobs > 1 on a private queue, costliest
+/// ready cell first; with jobs == 1 in the caller's thread in declaration
+/// order. Calls `on_done` once per cell, on the caller's thread, as each
+/// cell finishes. Retry notices and failures go to `log` when non-null.
+/// If `on_done` throws, the batch is cancelled and its remaining cells
+/// land before the exception propagates.
 void run_sweep(std::vector<SweepCellSpec> cells, const SweepOptions& opts,
                const CellDoneFn& on_done, std::ostream* log = nullptr);
 

@@ -48,11 +48,8 @@ void ThreadPool::worker_main(int id) {
         seen_generation = generation_;
         job = job_;
       } else if (!tasks_.empty()) {
-        // A fired cancellation token supersedes the queue: everything not
-        // yet started is discarded, never run (the sweep-deadline
-        // contract). Otherwise tasks are drained even when stop_ is set:
-        // shutdown must not drop work that was accepted by submit().
-        if (discard_if_cancelled()) continue;
+        // Tasks are drained even when stop_ is set: shutdown must not
+        // drop work that was accepted by submit().
         task = std::move(tasks_.front());
         tasks_.pop_front();
         ++tasks_running_;
@@ -107,37 +104,13 @@ void ThreadPool::submit(std::function<void()> task) {
 
 void ThreadPool::drain() {
   std::unique_lock lock(mutex_);
-  cv_done_.wait(lock, [&] {
-    // Re-checked on every wakeup: a sweep deadline that fires while tasks
-    // are in flight must clear the backlog the moment a worker finishes,
-    // not start it.
-    discard_if_cancelled();
-    return tasks_.empty() && tasks_running_ == 0;
-  });
+  cv_done_.wait(lock,
+                [&] { return tasks_.empty() && tasks_running_ == 0; });
   if (first_task_error_) {
     std::exception_ptr err = std::exchange(first_task_error_, nullptr);
     lock.unlock();
     std::rethrow_exception(err);
   }
-}
-
-void ThreadPool::set_cancel(const CancelToken* token) {
-  std::scoped_lock lock(mutex_);
-  cancel_ = token;
-}
-
-std::size_t ThreadPool::discarded() const {
-  std::scoped_lock lock(mutex_);
-  return discarded_;
-}
-
-bool ThreadPool::discard_if_cancelled() {
-  if (cancel_ == nullptr || tasks_.empty() || !cancel_->cancelled())
-    return false;
-  discarded_ += tasks_.size();
-  tasks_.clear();
-  if (tasks_running_ == 0) cv_done_.notify_all();
-  return true;
 }
 
 }  // namespace afs

@@ -17,8 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/cancel.hpp"
-
 namespace afs {
 
 class ThreadPool {
@@ -46,24 +44,7 @@ class ThreadPool {
 
   /// Blocks until every submitted task has finished, then rethrows the
   /// first task exception, if any (clearing it).
-  ///
-  /// Cancellation interaction: when a token attached via set_cancel() has
-  /// fired, queued tasks that have not started are *discarded*, never
-  /// started — both by workers (checked at dequeue) and by drain itself —
-  /// so a sweep-level deadline cannot leak new cells into execution.
-  /// Tasks already running are left to finish (they observe the token
-  /// cooperatively). Discarded tasks are counted, not treated as errors.
   void drain();
-
-  /// Attaches a cancellation token (not owned; null detaches). Once the
-  /// token fires, not-yet-started queued tasks are discarded at the next
-  /// dequeue or drain() instead of being run. Set it before submitting
-  /// the work it should govern; destruction still runs queued tasks when
-  /// no token (or an unfired one) is attached.
-  void set_cancel(const CancelToken* token);
-
-  /// Tasks discarded after the cancellation token fired (cumulative).
-  std::size_t discarded() const;
 
  private:
   void worker_main(int id);
@@ -79,13 +60,7 @@ class ThreadPool {
   std::deque<std::function<void()>> tasks_;
   int tasks_running_ = 0;
   std::exception_ptr first_task_error_;  // from submitted tasks, for drain()
-  const CancelToken* cancel_ = nullptr;  // not owned; see set_cancel()
-  std::size_t discarded_ = 0;            // tasks dropped after cancellation
   std::vector<std::jthread> threads_;
-
-  /// Pre: mutex_ held. Discards every queued task when the attached token
-  /// has fired; returns true when anything was dropped.
-  bool discard_if_cancelled();
 };
 
 }  // namespace afs

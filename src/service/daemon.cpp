@@ -1,5 +1,7 @@
 #include "service/daemon.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -15,27 +17,39 @@
 namespace afs::service {
 namespace {
 
-// Signal handlers may only touch lock-free state; the dispatcher's signal
-// watcher polls this and runs the actual drain on a normal thread.
-volatile std::sig_atomic_t g_drain_signal = 0;
+// Signal handlers may only touch lock-free state; serve()'s signal
+// watcher thread polls this and runs the actual drain on a normal thread
+// (an atomic, not a volatile sig_atomic_t: the reader is another thread).
+std::atomic<int> g_drain_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
-void drain_signal_handler(int sig) { g_drain_signal = sig; }
+void drain_signal_handler(int sig) { g_drain_signal.store(sig); }
 
 std::int64_t us_between(std::chrono::steady_clock::time_point a,
                         std::chrono::steady_clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::microseconds>(b - a).count();
 }
 
-/// Streams an experiment's human-readable progress as one "log" response
-/// per line. A write failure is deliberately ignored here: write_line has
-/// already torn the connection down and cancelled the request's token, so
-/// the run aborts at its next event boundary — swallowing the line is the
-/// cheapest way to keep the experiment code oblivious to transport state.
+/// Streams a request's human-readable progress as one "log" response per
+/// line, through the request's reply slot. A write failure is
+/// deliberately ignored here: write_line has already torn the connection
+/// down and cancelled the request's token, so the run aborts at its next
+/// event boundary — swallowing the line is the cheapest way to keep the
+/// experiment code oblivious to transport state.
 class LogLineBuf : public std::streambuf {
  public:
-  LogLineBuf(Connection* conn, std::uint64_t seq, std::string tag)
-      : conn_(conn), seq_(seq), tag_(std::move(tag)) {}
-  ~LogLineBuf() override { flush_line(); }
+  explicit LogLineBuf(const ServiceRequest& r) : r_(r) {}
+
+  /// Sends a pending partial line (before the request's answer).
+  void flush_line() {
+    if (line_.empty()) return;
+    r_.conn->send(r_.slot,
+                  response_line("log",
+                                {{"request", json_number(double(r_.seq))},
+                                 {"text", json_quote(line_)}},
+                                r_.req.tag));
+    line_.clear();
+  }
 
  protected:
   int overflow(int ch) override {
@@ -53,18 +67,7 @@ class LogLineBuf : public std::streambuf {
   }
 
  private:
-  void flush_line() {
-    if (line_.empty()) return;
-    conn_->write_line(response_line("log",
-                                    {{"request", json_number(double(seq_))},
-                                     {"text", json_quote(line_)}},
-                                    tag_));
-    line_.clear();
-  }
-
-  Connection* conn_;
-  std::uint64_t seq_;
-  std::string tag_;
+  const ServiceRequest& r_;
   std::string line_;
 };
 
@@ -93,6 +96,26 @@ GridSpec grid_spec_of(const Request& req, std::vector<int> procs) {
 
 }  // namespace
 
+/// One admitted run/grid request and everything its answer is built
+/// from. Owned by its queue batch (or by admission, when it is answered
+/// there); the batch's notices arrive one at a time.
+struct SweepDaemon::Job {
+  explicit Job(const CancelToken* drain_parent) : r(drain_parent) {}
+
+  ServiceRequest r;
+  Experiment grid;  ///< a grid request's experiment
+  std::optional<StoreView> view;  ///< the request's share of the store
+  ExperimentContext ctx;
+  LogLineBuf logbuf{r};
+  std::ostream log{&logbuf};
+  std::optional<ExperimentRun> run;
+  std::vector<std::size_t> index;  ///< queued cell -> plan cell
+  std::size_t unlanded = 0;        ///< queued cells not landed yet
+  bool queued = false;             ///< some cell went to the queue
+  bool started = false;            ///< a queued cell started
+  std::string internal_error;      ///< an exception escaped the run
+};
+
 void DaemonOptions::validate() const {
   AFS_CHECK_MSG(!socket_path.empty(), "serve needs --socket=PATH");
   AFS_CHECK_MSG(!out_dir.empty(), "serve needs a non-empty --out-dir");
@@ -115,9 +138,7 @@ void DaemonOptions::validate() const {
   AFS_CHECK_MSG(restart_refill >= 0.0, "--restart-refill must be >= 0");
 }
 
-SweepDaemon::SweepDaemon(DaemonOptions opts)
-    : opts_(std::move(opts)), queue_(static_cast<std::size_t>(
-                                  opts_.max_queue > 0 ? opts_.max_queue : 1)) {}
+SweepDaemon::SweepDaemon(DaemonOptions opts) : opts_(std::move(opts)) {}
 
 SweepDaemon::~SweepDaemon() {
   if (watchdog_.joinable()) {
@@ -151,7 +172,6 @@ int SweepDaemon::serve() {
     store_.emplace(opts_.store_dir.empty() ? opts_.out_dir + "/.store"
                                            : opts_.store_dir);
   }
-  if (opts_.jobs > 1) pool_.emplace(opts_.jobs);
 
   if (opts_.isolation == "process") {
     WorkerPoolOptions wopts;
@@ -171,6 +191,8 @@ int SweepDaemon::serve() {
       return 1;
     }
   }
+
+  queue_.emplace(opts_.jobs);
 
   Listener::Handlers handlers;
   handlers.on_frame = [this](const std::shared_ptr<Connection>& conn,
@@ -193,7 +215,7 @@ int SweepDaemon::serve() {
 
   struct sigaction old_term {}, old_int {};
   if (opts_.install_signal_handlers) {
-    g_drain_signal = 0;
+    g_drain_signal.store(0);
     struct sigaction sa {};
     sa.sa_handler = drain_signal_handler;
     sigemptyset(&sa.sa_mask);
@@ -206,38 +228,30 @@ int SweepDaemon::serve() {
                << (store_ ? store_->root() : std::string("off")) << ", jobs "
                << opts_.jobs << ", queue " << opts_.max_queue << ")\n";
 
-  // The drain can be initiated while a request is mid-run (a signal, the
-  // shutdown verb, a test calling request_drain()); the watcher thread
-  // makes a pending signal take effect without waiting for the dispatcher
-  // to come back from execute().
+  // The drain can be initiated by a signal while every thread is busy;
+  // the watcher thread makes a pending signal take effect.
   std::atomic<bool> stop_watching{false};
   std::thread signal_watcher([this, &stop_watching] {
     while (!stop_watching.load(std::memory_order_acquire)) {
-      if (opts_.install_signal_handlers && g_drain_signal != 0) request_drain();
+      if (opts_.install_signal_handlers && g_drain_signal.load() != 0)
+        request_drain();
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
   });
 
-  // The dispatcher: arrival-ordered, one request at a time, reusing the
-  // warm pool — the paper's central-queue policy at the service layer.
-  while (true) {
-    std::unique_ptr<ServiceRequest> r =
-        queue_.pop_wait(std::chrono::milliseconds(100));
-    if (r == nullptr) {
-      if (queue_.closed() && queue_.depth() == 0) break;
-      continue;
-    }
-    execute(std::move(r));
-  }
+  // Requests are served from the reader threads (admission) and the cell
+  // queue's workers; this thread only waits for the drain to finish.
+  registry_.wait_drained();
 
-  // Queue drained: release the watchdog before it fires, stop the
-  // watcher, tear the transport down.
+  // Every request answered: release the watchdog before it fires, retire
+  // the queue, stop the watcher, tear the transport down.
   {
     std::scoped_lock lock(watchdog_mu_);
     drained_ = true;
   }
   watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
+  queue_.reset();
   stop_watching.store(true, std::memory_order_release);
   signal_watcher.join();
   listener_->close_all();
@@ -248,6 +262,7 @@ int SweepDaemon::serve() {
   }
 
   if (opts_.log) {
+    std::scoped_lock lock(log_mu_);
     *opts_.log << "drained: admitted=" << stats_.admitted.load()
                << " completed=" << stats_.completed.load()
                << " failed=" << stats_.failed.load()
@@ -278,16 +293,15 @@ int SweepDaemon::serve() {
 void SweepDaemon::request_drain() {
   if (drain_begun_.exchange(true)) return;
   draining_.store(true, std::memory_order_release);
-  if (opts_.log)
-    *opts_.log << "draining (queue " << queue_.depth() << ", in-flight "
-               << registry_.in_flight() << ", timeout " << opts_.drain_timeout
-               << "s)\n";
+  log_line("draining (queue " + std::to_string(registry_.waiting()) +
+           ", in-flight " + std::to_string(registry_.running()) +
+           ", timeout " + json_number(opts_.drain_timeout) + "s)");
   if (listener_ != nullptr) listener_->stop_accepting();
-  // Start the watchdog before closing the queue: once closed() is
-  // observable the dispatcher may finish the drain and join watchdog_, so
-  // the thread must already be assigned.
+  // Start the watchdog before closing the registry: once it is closed
+  // serve() may finish the drain and join watchdog_, so the thread must
+  // already be assigned.
   watchdog_ = std::thread([this] { finish_drain_watchdog(); });
-  queue_.close();
+  registry_.close();
 }
 
 void SweepDaemon::finish_drain_watchdog() {
@@ -297,9 +311,8 @@ void SweepDaemon::finish_drain_watchdog() {
                             std::chrono::duration<double>(opts_.drain_timeout)),
                         [this] { return drained_; });
   if (!drained_) {
-    if (opts_.log)
-      *opts_.log << "drain timeout (" << opts_.drain_timeout
-                 << "s): cancelling in-flight work\n";
+    log_line("drain timeout (" + json_number(opts_.drain_timeout) +
+             "s): cancelling in-flight work");
     drain_token_.cancel();
   }
 }
@@ -337,19 +350,28 @@ void SweepDaemon::handle_frame(const std::shared_ptr<Connection>& conn,
   }
 }
 
+void SweepDaemon::log_line(const std::string& line) {
+  if (opts_.log == nullptr) return;
+  std::scoped_lock lock(log_mu_);
+  *opts_.log << line << "\n";
+}
+
 void SweepDaemon::admit(const std::shared_ptr<Connection>& conn, Request req) {
-  if (draining_.load(std::memory_order_acquire)) {
+  const auto shutting_down = [&] {
     stats_.rejected_draining.fetch_add(1);
     conn->write_line(response_error(
         {err::kShuttingDown, "daemon is draining; not accepting work"},
         req.tag));
+  };
+  if (draining_.load(std::memory_order_acquire)) {
+    shutting_down();
     return;
   }
 
   // Semantic validation happens at admission, on the connection's reader
-  // thread, so a bad request is bounced immediately instead of poisoning
-  // the dispatcher: ids against the registry, grid specs against the
-  // grammars (a thrown usage hint becomes the error message).
+  // thread, so a bad request is bounced immediately: ids against the
+  // registry, grid specs against the grammars (a thrown usage hint
+  // becomes the error message).
   if (req.verb == Verb::kRun) {
     if (!req.all) {
       for (const std::string& id : req.ids) {
@@ -384,245 +406,239 @@ void SweepDaemon::admit(const std::shared_ptr<Connection>& conn, Request req) {
     }
   }
 
-  auto r = std::make_unique<ServiceRequest>(&drain_token_);
-  r->seq = registry_.next_seq();
-  r->req = std::move(req);
-  r->conn = conn;
-  r->arrived = std::chrono::steady_clock::now();
+  auto job = std::make_shared<Job>(&drain_token_);
+  ServiceRequest& r = job->r;
+  r.req = std::move(req);
+  r.conn = conn;
+  r.arrived = std::chrono::steady_clock::now();
   const double deadline =
-      r->req.deadline > 0.0 ? r->req.deadline : opts_.default_deadline;
+      r.req.deadline > 0.0 ? r.req.deadline : opts_.default_deadline;
   // Armed before the token is shared with anyone (the deadline fields are
   // not atomic); from here on only cancel()/cancelled() touch it.
-  if (deadline > 0.0) r->cancel.set_timeout(deadline);
+  if (deadline > 0.0) r.cancel.set_timeout(deadline);
 
-  const std::uint64_t seq = r->seq;
-  const std::string tag = r->req.tag;
-  // Valid after the move below for exactly as long as accepted_written is
-  // unset: the executor blocks on the flag before touching (or ever
-  // destroying) the entry.
-  ServiceRequest* admitted = r.get();
-  if (!queue_.try_push(std::move(r))) {
-    if (queue_.closed()) {
-      stats_.rejected_draining.fetch_add(1);
-      conn->write_line(response_error(
-          {err::kShuttingDown, "daemon is draining; not accepting work"},
-          tag));
-    } else {
+  switch (registry_.admit(r, opts_.max_queue)) {
+    case RequestRegistry::Admission::kAdmitted:
+      break;
+    case RequestRegistry::Admission::kClosed:
+      shutting_down();
+      return;
+    case RequestRegistry::Admission::kFull:
       stats_.rejected_overloaded.fetch_add(1);
       conn->write_line(response_line(
           "error",
           {{"code", json_quote(err::kOverloaded)},
            {"message",
             json_quote("admission queue full; retry with backoff")},
-           {"queue_depth", json_number(double(queue_.depth()))},
-           {"max_queue", json_number(double(queue_.capacity()))}},
-          tag));
-    }
-    return;
+           {"queue_depth", json_number(double(registry_.waiting()))},
+           {"max_queue", json_number(double(opts_.max_queue))}},
+          r.req.tag));
+      return;
   }
-  registry_.enqueued(seq);
   stats_.admitted.fetch_add(1);
+  // "accepted" goes out before any of the request's cells can run, so
+  // nothing of its answer can overtake it.
   conn->write_line(response_line(
       "accepted",
-      {{"request", json_number(double(seq))},
-       {"queue_depth", json_number(double(queue_.depth()))}},
-      tag));
-  admitted->accepted_written.store(true, std::memory_order_release);
+      {{"request", json_number(double(r.seq))},
+       {"queue_depth", json_number(double(registry_.waiting()))}},
+      r.req.tag));
+  r.slot = conn->open_slot();
+  // From here the client's disappearance cancels the request.
+  conn->register_cancel(&r.cancel);
+  start(job);
 }
 
-void SweepDaemon::execute(std::unique_ptr<ServiceRequest> r) {
-  // The dispatcher can pop a request before its admitting thread has the
-  // "accepted" line on the wire; emitting anything (or finishing and
-  // destroying the entry) before that would reorder the stream.
-  while (!r->accepted_written.load(std::memory_order_acquire))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  registry_.running(r->seq);
-  r->started = std::chrono::steady_clock::now();
-  stats_.queue_wait_us.fetch_add(us_between(r->arrived, r->started));
-  const std::string& tag = r->req.tag;
+void SweepDaemon::start(const std::shared_ptr<Job>& job) {
+  ServiceRequest& r = job->r;
+  ExperimentContext& ctx = job->ctx;
+  ctx.cli.out_dir = opts_.out_dir;
+  ctx.cli.jobs = opts_.jobs;
+  ctx.cli.cell_timeout = opts_.cell_timeout;
+  if (opts_.cell_retries >= 0) ctx.cli.cell_retries = opts_.cell_retries;
 
-  const auto finish = [&](const char* outcome) {
-    stats_.run_us.fetch_add(
-        us_between(r->started, std::chrono::steady_clock::now()));
-    registry_.finished(r->seq);
-    if (opts_.log)
-      *opts_.log << "request " << r->seq << ": " << outcome << "\n";
-  };
-
-  // Classify a fired token: drain beats disconnect beats deadline (a
-  // request can hit several at once; the coarser condition is the truth a
-  // client can act on).
-  const auto respond_cancelled = [&] {
-    if (drain_token_.cancelled()) {
-      stats_.cancelled.fetch_add(1);
-      r->conn->write_line(response_error(
-          {err::kCancelled, "cancelled: daemon drain timeout"}, tag, r->seq));
-      finish("cancelled (drain)");
-    } else if (r->conn->dead()) {
-      stats_.cancelled.fetch_add(1);
-      finish("cancelled (client gone)");
-    } else {
-      stats_.deadline_expired.fetch_add(1);
-      r->conn->write_line(response_error(
-          {err::kDeadlineExpired, "request deadline expired"}, tag, r->seq));
-      finish("deadline expired");
-    }
-  };
-
-  if (r->conn->dead() || r->cancel.cancelled()) {
-    // Never started: client hung up while queued, the deadline burned out
-    // in the queue, or the drain timeout fired. No pool time spent.
-    respond_cancelled();
-    return;
+  if (store_) {
+    job->view.emplace(*store_);
+    ctx.store = &*job->view;
   }
-
-  // From here the client's disappearance must abort the run: tie the
-  // token to the connection for the duration.
-  r->conn->register_cancel(&r->cancel);
-
-  bench::BenchCli cli;
-  cli.out_dir = opts_.out_dir;
-  cli.jobs = opts_.jobs;
-  cli.cell_timeout = opts_.cell_timeout;
-  if (opts_.cell_retries >= 0) cli.cell_retries = opts_.cell_retries;
-
-  std::vector<const Experiment*> experiments;
-  Experiment grid_exp;  // keeps the grid's closure alive while running
-  if (r->req.verb == Verb::kGrid) {
-    // Each distinct grid gets a stable private directory so repeated
-    // identical grids overwrite themselves (idempotent, warm) and
-    // different grids never clobber each other's grid.csv. The id stays
-    // "grid", so the CSV content matches the batch driver byte for byte.
-    std::vector<int> procs;
-    std::string perror;
-    parse_procs_list(r->req.procs, procs, perror);  // validated at admission
-    const GridSpec g = grid_spec_of(r->req, std::move(procs));
-    cli.out_dir = opts_.out_dir + "/grid-" + hex64(fnv1a64(grid_identity(g)));
-    try {
-      grid_exp = make_grid_experiment(g);
-    } catch (const std::exception& ex) {
-      // Can only differ from admission if the environment changed.
-      r->conn->unregister_cancel(&r->cancel);
-      stats_.failed.fetch_add(1);
-      r->conn->write_line(
-          response_error({err::kBadGrid, ex.what()}, tag, r->seq));
-      finish("failed (bad grid)");
-      return;
-    }
-    experiments.push_back(&grid_exp);
-  } else if (r->req.all) {
-    for (const Experiment& exp : all_experiments())
-      if (exp.kind != ExperimentKind::kMicro) experiments.push_back(&exp);
-  } else {
-    for (const std::string& id : r->req.ids)
-      experiments.push_back(find_experiment(id));  // non-null per admission
-  }
-
-  ExperimentContext ctx;
-  ctx.cli = cli;
-  ctx.store = store_ ? &*store_ : nullptr;
-  ctx.pool = pool_ ? &*pool_ : nullptr;
-  ctx.cancel = &r->cancel;
-  ctx.executor = workers_ ? workers_.get() : nullptr;
+  ctx.cancel = &r.cancel;
+  ctx.executor = workers_.get();
   // Quarantine and degradation are per-cell, not per-request: surface
   // them as non-terminal "cell_error" events so a client naming a
   // poisoned cell still gets every healthy cell's result (and the done
   // event) on the same connection.
-  Connection* connp = r->conn.get();
-  const std::uint64_t rseq = r->seq;
-  ctx.on_cell_failure = [connp, rseq, &tag](const std::string& id,
-                                            const CellFailure& f) {
+  ctx.on_cell_failure = [&r](const std::string& id, const CellFailure& f) {
     if (f.kind != "poison" && f.kind != "degraded") return;
-    connp->write_line(response_line(
-        "cell_error",
-        {{"request", json_number(double(rseq))},
-         {"code", json_quote(f.kind == "poison" ? err::kPoisonCell
-                                                : err::kDegraded)},
-         {"experiment", json_quote(id)},
-         {"scheduler", json_quote(f.label)},
-         {"procs", json_number(double(f.procs))},
-         {"message", json_quote(f.message)}},
-        tag));
+    r.conn->send(
+        r.slot,
+        response_line(
+            "cell_error",
+            {{"request", json_number(double(r.seq))},
+             {"code", json_quote(f.kind == "poison" ? err::kPoisonCell
+                                                    : err::kDegraded)},
+             {"experiment", json_quote(id)},
+             {"scheduler", json_quote(f.label)},
+             {"procs", json_number(double(f.procs))},
+             {"message", json_quote(f.message)}},
+            r.req.tag));
   };
 
-  const std::int64_t hits0 = store_ ? store_->hits() : 0;
-  const std::int64_t misses0 = store_ ? store_->misses() : 0;
-  const std::int64_t writes0 = store_ ? store_->writes() : 0;
+  // Plan, and serve every stored cell now; only the misses are queued.
+  std::vector<SweepCellSpec> cells;
+  try {
+    std::vector<const Experiment*> experiments;
+    if (r.req.verb == Verb::kGrid) {
+      // Each distinct grid gets a stable private directory so repeated
+      // identical grids overwrite themselves (idempotent, warm) and
+      // different grids never clobber each other's grid.csv. The id stays
+      // "grid", so the CSV content matches the batch driver byte for byte.
+      std::vector<int> procs;
+      std::string perror;
+      parse_procs_list(r.req.procs, procs, perror);  // validated at admission
+      const GridSpec g = grid_spec_of(r.req, std::move(procs));
+      ctx.cli.out_dir =
+          opts_.out_dir + "/grid-" + hex64(fnv1a64(grid_identity(g)));
+      job->grid = make_grid_experiment(g);  // validated at admission
+      experiments.push_back(&job->grid);
+    } else if (r.req.all) {
+      for (const Experiment& exp : all_experiments())
+        if (exp.kind != ExperimentKind::kMicro) experiments.push_back(&exp);
+    } else {
+      for (const std::string& id : r.req.ids)
+        experiments.push_back(find_experiment(id));  // non-null per admission
+    }
+    job->run.emplace(std::move(experiments), ctx, job->log);
+    if (job->view) {
+      cells = job->run->take_misses(*job->view, job->index);
+    } else {
+      cells = job->run->take_cells();
+      for (std::size_t k = 0; k < cells.size(); ++k) job->index.push_back(k);
+    }
+    if (!cells.empty()) {
+      job->queued = true;
+      job->unlanded = cells.size();
+      queue_->submit(std::move(cells), sweep_options(ctx),
+                     {[this, job] {
+                        job->started = true;
+                        job->r.started = std::chrono::steady_clock::now();
+                        registry_.started(job->r);
+                        stats_.queue_wait_us.fetch_add(
+                            us_between(job->r.arrived, job->r.started));
+                      },
+                      [this, job](std::size_t k, CellOutcome o) {
+                        land(*job, k, std::move(o));
+                      }});
+      return;
+    }
+  } catch (const std::exception& ex) {
+    job->internal_error = ex.what();
+  }
+  finish(*job);
+}
 
-  LogLineBuf logbuf(r->conn.get(), r->seq, tag);
-  std::ostream logstream(&logbuf);
+void SweepDaemon::land(Job& job, std::size_t k, CellOutcome outcome) {
+  try {
+    job.run->land(job.index[k], std::move(outcome));
+  } catch (const std::exception& ex) {
+    if (job.internal_error.empty()) job.internal_error = ex.what();
+  }
+  if (--job.unlanded == 0) finish(job);
+}
 
-  // One queue per request: every cell of its experiments on the shared
-  // pool, blocks streamed back in order as they complete.
+void SweepDaemon::finish(Job& job) {
+  ServiceRequest& r = job.r;
+  const std::string& tag = r.req.tag;
+  r.conn->unregister_cancel(&r.cancel);
+  job.logbuf.flush_line();
+
+  const auto now = std::chrono::steady_clock::now();
+  if (!job.started) {
+    // Answered at admission: no queue wait. Queued but never started
+    // (cancelled while waiting): all of it was queue wait.
+    r.started = job.queued ? now : r.arrived;
+    stats_.queue_wait_us.fetch_add(us_between(r.arrived, r.started));
+  }
+  stats_.run_us.fetch_add(us_between(r.started, now));
+
+  // Counters move before the answer goes out, so a client that reads it
+  // and then asks for stats sees them.
+  const auto answer = [&](std::atomic<std::int64_t>& counter,
+                          const std::string& line, const char* outcome) {
+    counter.fetch_add(1);
+    r.conn->close_slot(r.slot, line);
+    registry_.finished(r);
+    log_line("request " + std::to_string(r.seq) + ": " + outcome);
+  };
+
+  if (!job.internal_error.empty()) {
+    answer(stats_.failed,
+           response_error({err::kInternal, job.internal_error}, tag, r.seq),
+           "failed (internal)");
+    return;
+  }
+  // A fired token is classified coarsest first: drain beats disconnect
+  // beats deadline (a request can hit several at once; the coarser
+  // condition is the truth a client can act on).
+  if (r.cancel.cancelled()) {
+    if (r.drain_cancelled.load() || drain_token_.cancelled())
+      answer(stats_.cancelled,
+             response_error({err::kCancelled, r.drain_cancelled.load()
+                                                  ? "cancelled: daemon draining"
+                                                  : "cancelled: daemon drain "
+                                                    "timeout"},
+                            tag, r.seq),
+             "cancelled (drain)");
+    else if (r.conn->dead())
+      answer(stats_.cancelled, "", "cancelled (client gone)");
+    else
+      answer(stats_.deadline_expired,
+             response_error({err::kDeadlineExpired, "request deadline expired"},
+                            tag, r.seq),
+             "deadline expired");
+    return;
+  }
+
   int worst_exit = 0;
   std::string experiments_json = "[";
-  bool internal_error = false;
-  std::string internal_message;
-  std::vector<int> exit_codes;
-  try {
-    exit_codes = run_experiments(experiments, ctx, logstream);
-  } catch (const std::exception& ex) {
-    internal_error = true;
-    internal_message = ex.what();
-  }
-  for (std::size_t i = 0; i < exit_codes.size(); ++i) {
-    const Experiment* exp = experiments[i];
-    const int exit_code = exit_codes[i];
-    if (exit_code > worst_exit) worst_exit = exit_code;
-    if (experiments_json.size() > 1) experiments_json += ",";
+  const std::vector<int>& codes = job.run->codes();
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const Experiment* exp = job.run->experiments()[i];
+    worst_exit = std::max(worst_exit, codes[i]);
+    if (i > 0) experiments_json += ",";
     experiments_json += "{\"id\":" + json_quote(exp->id) +
-                        ",\"exit\":" + json_number(double(exit_code)) +
+                        ",\"exit\":" + json_number(double(codes[i])) +
                         ",\"csv\":[";
     for (std::size_t c = 0; c < exp->csv_ids.size(); ++c) {
       if (c > 0) experiments_json += ",";
       experiments_json +=
-          json_quote(ctx.cli.out_dir + "/" + exp->csv_ids[c] + ".csv");
+          json_quote(job.ctx.cli.out_dir + "/" + exp->csv_ids[c] + ".csv");
     }
     experiments_json += "]}";
   }
   experiments_json += "]";
 
-  r->conn->unregister_cancel(&r->cancel);
-
-  if (internal_error) {
-    stats_.failed.fetch_add(1);
-    r->conn->write_line(
-        response_error({err::kInternal, internal_message}, tag, r->seq));
-    finish("failed (internal)");
-    return;
-  }
-  if (r->cancel.cancelled()) {
-    respond_cancelled();
-    return;
-  }
-
   std::vector<JsonField> fields;
-  fields.push_back({"request", json_number(double(r->seq))});
+  fields.push_back({"request", json_number(double(r.seq))});
   fields.push_back({"ok", worst_exit == 0 ? "true" : "false"});
   fields.push_back({"exit", json_number(double(worst_exit))});
   fields.push_back({"experiments", experiments_json});
-  fields.push_back(
-      {"elapsed_s",
-       json_number(std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - r->started)
-                       .count())});
-  if (store_) {
-    fields.push_back({"store",
-                      "{\"hits\":" + json_number(double(store_->hits() - hits0)) +
-                          ",\"misses\":" +
-                          json_number(double(store_->misses() - misses0)) +
-                          ",\"writes\":" +
-                          json_number(double(store_->writes() - writes0)) +
-                          "}"});
+  fields.push_back({"elapsed_s",
+                    json_number(std::chrono::duration<double>(now - r.started)
+                                    .count())});
+  if (job.view) {
+    // The request's own cells' store traffic, not a difference of the
+    // daemon-wide counters (other requests run meanwhile).
+    fields.push_back(
+        {"store", "{\"hits\":" + json_number(double(job.view->hits())) +
+                      ",\"misses\":" + json_number(double(job.view->misses())) +
+                      ",\"writes\":" + json_number(double(job.view->writes())) +
+                      "}"});
   }
-  r->conn->write_line(response_line("done", fields, tag));
-  if (worst_exit == 0) {
-    stats_.completed.fetch_add(1);
-    finish("done");
-  } else {
-    stats_.failed.fetch_add(1);
-    finish("failed (nonzero exit)");
-  }
+  if (worst_exit == 0)
+    answer(stats_.completed, response_line("done", fields, tag), "done");
+  else
+    answer(stats_.failed, response_line("done", fields, tag),
+           "failed (nonzero exit)");
 }
 
 std::string SweepDaemon::health_response(const std::string& tag) const {
@@ -634,9 +650,9 @@ std::string SweepDaemon::health_response(const std::string& tag) const {
   std::vector<JsonField> fields = {
       {"status", json_quote(status)},
       {"uptime_s", json_number(uptime_s())},
-      {"queue_depth", json_number(double(queue_.depth()))},
-      {"max_queue", json_number(double(queue_.capacity()))},
-      {"in_flight", json_number(double(registry_.in_flight()))}};
+      {"queue_depth", json_number(double(registry_.waiting()))},
+      {"max_queue", json_number(double(opts_.max_queue))},
+      {"in_flight", json_number(double(registry_.running()))}};
   fields.push_back(
       {"isolation", json_quote(workers_ ? "process" : "thread")});
   if (workers_) {
@@ -654,9 +670,9 @@ std::string SweepDaemon::stats_response(const std::string& tag) const {
   std::vector<JsonField> fields = {
       {"status", json_quote(status)},
       {"uptime_s", json_number(uptime_s())},
-      {"queue_depth", json_number(double(queue_.depth()))},
-      {"max_queue", json_number(double(queue_.capacity()))},
-      {"in_flight", json_number(double(registry_.in_flight()))},
+      {"queue_depth", json_number(double(registry_.waiting()))},
+      {"max_queue", json_number(double(opts_.max_queue))},
+      {"in_flight", json_number(double(registry_.running()))},
       {"admitted", json_number(double(stats_.admitted.load()))},
       {"rejected_overloaded",
        json_number(double(stats_.rejected_overloaded.load()))},

@@ -69,6 +69,40 @@ bool Connection::write_line(const std::string& line) {
   return false;
 }
 
+std::uint64_t Connection::open_slot() {
+  std::scoped_lock lock(order_mu_);
+  slots_.push_back({next_slot_, {}, false});
+  return next_slot_++;
+}
+
+void Connection::send(std::uint64_t slot, const std::string& line) {
+  std::scoped_lock lock(order_mu_);
+  if (!slots_.empty() && slots_.front().id == slot) {
+    write_line(line);
+    return;
+  }
+  for (Slot& s : slots_)
+    if (s.id == slot) s.held.push_back(line);
+}
+
+void Connection::close_slot(std::uint64_t slot, const std::string& last) {
+  std::scoped_lock lock(order_mu_);
+  for (Slot& s : slots_) {
+    if (s.id != slot) continue;
+    if (!last.empty()) s.held.push_back(last);
+    s.closed = true;
+  }
+  // Whatever the oldest open slot holds goes out; a closed oldest slot
+  // retires and hands the turn to the next.
+  while (!slots_.empty()) {
+    Slot& front = slots_.front();
+    for (const std::string& line : front.held) write_line(line);
+    front.held.clear();
+    if (!front.closed) break;
+    slots_.pop_front();
+  }
+}
+
 void Connection::teardown(bool forced) {
   std::scoped_lock lock(mu_);
   if (dead_.exchange(true, std::memory_order_acq_rel)) return;

@@ -3,9 +3,10 @@
 // One reader thread per connection feeds the LineFramer and hands
 // complete frames (and framing errors) to the daemon's handler; writes go
 // through Connection::write_line, which serializes concurrent writers
-// (the connection's own reader answering health/stats, and the dispatcher
-// streaming a run's progress) and bounds how long a slow reader can stall
-// the daemon. A client that disconnects, jams the socket, floods garbage
+// (the connection's own reader answering health/stats, and the queue's
+// workers streaming runs' progress) and bounds how long a slow reader can
+// stall the daemon. Reply slots keep pipelined run answers in submission
+// order. A client that disconnects, jams the socket, floods garbage
 // or stops reading is torn down — its in-flight work is cancelled via the
 // tokens registered on the connection — without touching any other
 // connection.
@@ -13,6 +14,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -42,6 +45,17 @@ class Connection {
   /// teardown (a no-op returning false).
   bool write_line(const std::string& line);
 
+  /// Pipelined requests are answered in submission order: each takes a
+  /// reply slot when it is admitted, and lines sent to a slot go out at
+  /// once only while every earlier slot is closed; otherwise they wait
+  /// and go out, in order, when the earlier slots close. Lines written
+  /// with write_line (inline verbs, admission replies) skip the order.
+  std::uint64_t open_slot();
+  void send(std::uint64_t slot, const std::string& line);
+  /// Sends `last` (unless empty) and closes the slot, releasing the lines
+  /// of the slots after it.
+  void close_slot(std::uint64_t slot, const std::string& last);
+
   /// Cancels every registered token, shuts the socket down both ways
   /// (unblocking the reader thread) and marks the connection dead.
   /// Idempotent; safe from any thread. `forced` distinguishes a
@@ -51,8 +65,8 @@ class Connection {
   bool dead() const { return dead_.load(std::memory_order_acquire); }
 
   /// Ties a request's cancel token to this connection's lifetime: if the
-  /// client goes away, the token fires and the dispatcher stops burning
-  /// pool time on an answer nobody will read. Unregister before the
+  /// client goes away, the token fires and the queue stops burning pool
+  /// time on an answer nobody will read. Unregister before the
   /// token is destroyed. Registering on a dead connection cancels
   /// immediately.
   void register_cancel(CancelToken* token);
@@ -68,11 +82,20 @@ class Connection {
  private:
   static constexpr int kMaxStrikes = 8;
 
+  struct Slot {
+    std::uint64_t id;
+    std::vector<std::string> held;  // lines waiting for earlier slots
+    bool closed = false;
+  };
+
   int fd_;
   double write_timeout_;
   ServiceStats* stats_;
   std::mutex mu_;  // serializes writes; guards tokens_
   std::vector<CancelToken*> tokens_;
+  std::mutex order_mu_;  // guards slots_; taken before mu_
+  std::deque<Slot> slots_;  // open slots, oldest first
+  std::uint64_t next_slot_ = 0;
   std::atomic<bool> dead_{false};
   std::atomic<int> strikes_{0};
 };

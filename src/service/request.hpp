@@ -1,22 +1,22 @@
 // In-flight request bookkeeping for the sweep daemon.
 //
 // A ServiceRequest is one admitted `run`/`grid` request: the parsed
-// protocol request, the connection to stream responses to, a per-request
-// CancelToken (deadline + drain parent + client-disconnect), and the
-// timestamps the latency counters are computed from. The RequestRegistry
-// allocates sequence numbers and tracks the queued/running population so
-// the `stats` verb (and the drain log) can report queue depth and
-// in-flight state truthfully.
+// protocol request, the connection and reply slot its answer goes to, a
+// per-request CancelToken (deadline + drain parent + client-disconnect),
+// and the timestamps the latency counters are computed from. The
+// RequestRegistry allocates sequence numbers, bounds how many admitted
+// requests may wait for the pool (--max-queue), and tracks the waiting
+// and running population so the `stats` verb (and the drain log) can
+// report queue depth and in-flight state truthfully.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "service/listener.hpp"
@@ -29,135 +29,97 @@ struct ServiceRequest {
   std::uint64_t seq = 0;  ///< daemon-assigned, echoed as "request"
   Request req;
   std::shared_ptr<Connection> conn;
+  std::uint64_t slot = 0;  ///< the connection's reply slot for the answer
   /// Child of the daemon's drain token; armed with the per-request
-  /// deadline at admission, fired early by drain timeout or client
-  /// disconnect. The sweep runner and the simulator poll it
-  /// cooperatively.
+  /// deadline at admission, fired early by the drain or a client
+  /// disconnect. The queue and the simulator poll it cooperatively.
   CancelToken cancel;
-  /// Set by the admitting thread once the "accepted" line is on the wire.
-  /// The executor waits for it before its first write, so a fast dispatch
-  /// can never interleave "log" output ahead of the admission reply. The
-  /// admitter's post-push store is safe for the same reason: the executor
-  /// cannot destroy the entry while the flag is still unset.
-  std::atomic<bool> accepted_written{false};
+  /// Set (before `cancel` fires) when the drain cancels the request
+  /// before any of its cells started.
+  std::atomic<bool> drain_cancelled{false};
   std::chrono::steady_clock::time_point arrived{};
+  /// When its first cell started; the arrival for a request answered at
+  /// admission.
   std::chrono::steady_clock::time_point started{};
+  bool running = false;  ///< a cell has started (guarded by the registry)
 
   explicit ServiceRequest(const CancelToken* drain_parent)
       : cancel(drain_parent) {}
 };
 
-/// Thread-safe sequence allocation and queued/running census.
+/// Thread-safe admission and waiting/running census.
 class RequestRegistry {
  public:
-  std::uint64_t next_seq() {
+  enum class Admission { kAdmitted, kFull, kClosed };
+
+  /// Numbers `r` and counts it as waiting for the pool — unless the
+  /// registry is closed (draining) or `max_waiting` admitted requests
+  /// already wait: backpressure is the contract, unbounded memory the
+  /// failure mode it prevents.
+  Admission admit(ServiceRequest& r, int max_waiting) {
     std::scoped_lock lock(mu_);
-    return ++seq_;
+    if (closed_) return Admission::kClosed;
+    if (count(false) >= max_waiting) return Admission::kFull;
+    r.seq = ++seq_;
+    live_.push_back(&r);
+    return Admission::kAdmitted;
   }
 
-  void enqueued(std::uint64_t seq) { set_state(seq, State::kQueued); }
-  void running(std::uint64_t seq) { set_state(seq, State::kRunning); }
-  void finished(std::uint64_t seq) {
+  /// `r`'s first cell started: it stops waiting and runs.
+  void started(ServiceRequest& r) {
     std::scoped_lock lock(mu_);
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-      if (live_[i].first == seq) {
-        live_[i] = live_.back();
-        live_.pop_back();
-        return;
-      }
-    }
+    r.running = true;
   }
 
-  int queued() const { return count(State::kQueued); }
-  int in_flight() const { return count(State::kRunning); }
-
- private:
-  enum class State { kQueued, kRunning };
-
-  void set_state(std::uint64_t seq, State s) {
+  /// `r` has been answered.
+  void finished(ServiceRequest& r) {
     std::scoped_lock lock(mu_);
-    for (auto& [id, state] : live_) {
-      if (id == seq) {
-        state = s;
-        return;
-      }
-    }
-    live_.emplace_back(seq, s);
+    live_.erase(std::remove(live_.begin(), live_.end(), &r), live_.end());
+    if (live_.empty()) drained_cv_.notify_all();
   }
 
-  int count(State s) const {
-    std::scoped_lock lock(mu_);
-    int n = 0;
-    for (const auto& [id, state] : live_)
-      if (state == s) ++n;
-    return n;
-  }
-
-  mutable std::mutex mu_;
-  std::uint64_t seq_ = 0;
-  std::vector<std::pair<std::uint64_t, State>> live_;
-};
-
-/// Bounded MPSC admission queue: connection reader threads push, the
-/// dispatcher pops in arrival order — the paper's central ready queue
-/// restated at the service layer. A full queue rejects instead of
-/// growing: backpressure is the contract, unbounded memory the failure
-/// mode it prevents.
-class AdmissionQueue {
- public:
-  explicit AdmissionQueue(std::size_t capacity) : capacity_(capacity) {}
-
-  /// False when the queue is full or closed (the caller sends the
-  /// structured `overloaded` / `shutting_down` error).
-  bool try_push(std::unique_ptr<ServiceRequest> r) {
-    {
-      std::scoped_lock lock(mu_);
-      if (closed_ || queue_.size() >= capacity_) return false;
-      queue_.push_back(std::move(r));
-    }
-    cv_.notify_one();
-    return true;
-  }
-
-  /// Next request in arrival order; waits up to `timeout`. Null on
-  /// timeout or when the queue is closed and drained.
-  std::unique_ptr<ServiceRequest> pop_wait(std::chrono::milliseconds timeout) {
-    std::unique_lock lock(mu_);
-    cv_.wait_for(lock, timeout,
-                 [this] { return !queue_.empty() || closed_; });
-    if (queue_.empty()) return nullptr;
-    std::unique_ptr<ServiceRequest> r = std::move(queue_.front());
-    queue_.pop_front();
-    return r;
-  }
-
-  /// Stops admission; queued requests still drain through pop_wait.
+  /// Stops admission and cancels every request still waiting: those
+  /// answer `cancelled` without a cell started. Running requests are left
+  /// to finish (the drain timeout's business).
   void close() {
-    {
-      std::scoped_lock lock(mu_);
-      closed_ = true;
+    std::scoped_lock lock(mu_);
+    closed_ = true;
+    for (ServiceRequest* r : live_) {
+      if (r->running) continue;
+      r->drain_cancelled.store(true);
+      r->cancel.cancel();
     }
-    cv_.notify_all();
+    if (live_.empty()) drained_cv_.notify_all();
   }
 
-  bool closed() const {
+  /// Blocks until closed and every admitted request has been answered.
+  void wait_drained() {
+    std::unique_lock lock(mu_);
+    drained_cv_.wait(lock, [this] { return closed_ && live_.empty(); });
+  }
+
+  int waiting() const {
     std::scoped_lock lock(mu_);
-    return closed_;
+    return count(false);
   }
-
-  std::size_t depth() const {
+  int running() const {
     std::scoped_lock lock(mu_);
-    return queue_.size();
+    return count(true);
   }
-
-  std::size_t capacity() const { return capacity_; }
 
  private:
-  const std::size_t capacity_;
+  int count(bool running) const {
+    return static_cast<int>(
+        std::count_if(live_.begin(), live_.end(), [running](const auto* r) {
+          return r->running == running;
+        }));
+  }
+
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::unique_ptr<ServiceRequest>> queue_;
+  std::condition_variable drained_cv_;
+  std::uint64_t seq_ = 0;
   bool closed_ = false;
+  std::vector<ServiceRequest*> live_;  // admitted, not yet answered
 };
 
 }  // namespace afs::service

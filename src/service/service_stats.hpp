@@ -2,9 +2,9 @@
 // drain for post-mortems.
 //
 // Everything is a relaxed atomic: counters are written from connection
-// reader threads and the dispatcher concurrently, and a stats read is a
-// monotonic snapshot, not a transaction — exactly what an operations
-// counter needs and nothing more. Latency sums are accumulated in
+// reader threads and the cell queue's workers concurrently, and a stats
+// read is a monotonic snapshot, not a transaction — exactly what an
+// operations counter needs and nothing more. Latency sums are accumulated in
 // microseconds (an atomic double would need CAS loops; integral
 // microseconds keep increments wait-free and still resolve well below
 // one scheduling quantum).
@@ -17,7 +17,7 @@ namespace afs::service {
 
 struct ServiceStats {
   // Admission path.
-  std::atomic<std::int64_t> admitted{0};  ///< queued for the dispatcher
+  std::atomic<std::int64_t> admitted{0};  ///< accepted for execution
   std::atomic<std::int64_t> rejected_overloaded{0};  ///< bounced, queue full
   std::atomic<std::int64_t> rejected_draining{0};  ///< bounced, shutting down
   std::atomic<std::int64_t> protocol_errors{0};  ///< bad frames/requests
@@ -34,7 +34,8 @@ struct ServiceStats {
   std::atomic<std::int64_t> connections_torn_down{0};  ///< forced teardowns
 
   // Latency accounting (microseconds; divide by served requests for the
-  // mean). queue_wait covers admission -> dispatch; run covers dispatch ->
+  // mean). queue_wait covers admission -> the request's first cell start
+  // (0 when it is answered at admission); run covers the rest, up to the
   // response.
   std::atomic<std::int64_t> queue_wait_us{0};
   std::atomic<std::int64_t> run_us{0};
@@ -44,7 +45,8 @@ struct ServiceStats {
            deadline_expired.load();
   }
 
-  /// Mean admission->dispatch wait per finished request, in milliseconds.
+  /// Mean admission->first-cell wait per finished request, in
+  /// milliseconds.
   /// Guarded against the zero-request case: a naive sum/count would be
   /// 0/0 = NaN, which the strict JSON printer has no representation for
   /// (json_number renders non-finite doubles as null). Every consumer —
@@ -57,7 +59,8 @@ struct ServiceStats {
                  : 0.0;
   }
 
-  /// Mean dispatch->response time per finished request, in milliseconds.
+  /// Mean first-cell->response time per finished request, in
+  /// milliseconds.
   /// Same zero-request guard as queue_wait_ms_mean().
   double run_ms_mean() const {
     const std::int64_t n = finished();

@@ -232,6 +232,34 @@ void ResultStore::save(const CellKey& key, const SimResult& r) {
   writes_.fetch_add(1);
 }
 
+bool StoreView::load(const CellKey& key, SimResult& out) {
+  {
+    std::scoped_lock lock(mu_);
+    const auto it = missed_.find(key.hash);
+    if (it != missed_.end()) {
+      // Missed when probed: the run skips the lookup the probe already
+      // made, once.
+      if (!probing_) missed_.erase(it);
+      return false;
+    }
+  }
+  if (store_.load(key, out)) {
+    hits_.fetch_add(1);
+    return true;
+  }
+  misses_.fetch_add(1);
+  if (probing_) {
+    std::scoped_lock lock(mu_);
+    missed_.insert(key.hash);
+  }
+  return false;
+}
+
+void StoreView::save(const CellKey& key, const SimResult& r) {
+  store_.save(key, r);
+  if (key.cacheable) writes_.fetch_add(1);
+}
+
 double ResultStore::hit_rate() const {
   const double h = static_cast<double>(hits_.load());
   const double m = static_cast<double>(misses_.load());

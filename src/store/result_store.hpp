@@ -44,12 +44,28 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <unordered_set>
 
 #include "sim/sim_result.hpp"
 #include "store/cell_key.hpp"
 
 namespace afs {
+
+/// Where a cell looks its result up and publishes it: the store itself,
+/// or one daemon request's view of it (StoreView).
+class CellStore {
+ public:
+  virtual ~CellStore() = default;
+  /// True and fills `out` when a valid entry for `key` exists.
+  virtual bool load(const CellKey& key, SimResult& out) = 0;
+  /// Publishes `r` under `key`; a no-op for uncacheable keys.
+  virtual void save(const CellKey& key, const SimResult& r) = 0;
+  /// True while lookups only probe: a cell whose lookup misses stops
+  /// there instead of simulating (load_or_simulate).
+  virtual bool probing() const { return false; }
+};
 
 struct StoreStats {
   std::int64_t entries = 0;
@@ -89,7 +105,7 @@ struct ScrubOutcome {
   bool clean() const { return corrupt == 0; }
 };
 
-class ResultStore {
+class ResultStore final : public CellStore {
  public:
   /// Opens (and lazily creates) the store rooted at `root`.
   explicit ResultStore(std::string root);
@@ -107,11 +123,11 @@ class ResultStore {
   /// and counted. The lookup degrades to a miss either way — quarantine
   /// just preserves the evidence and stops the corrupt file from being
   /// re-parsed on every lookup.
-  bool load(const CellKey& key, SimResult& out);
+  bool load(const CellKey& key, SimResult& out) override;
 
   /// Publishes `r` under `key` (atomic rename; overwrites any previous
   /// entry). No-op for uncacheable keys.
-  void save(const CellKey& key, const SimResult& r);
+  void save(const CellKey& key, const SimResult& r) override;
 
   /// Absolute path the entry for `key` lives at.
   std::string entry_path(const CellKey& key) const;
@@ -154,6 +170,38 @@ class ResultStore {
   std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> writes_{0};
   std::atomic<std::int64_t> quarantined_{0};
+};
+
+/// One daemon request's view of the shared store. It counts the lookups
+/// and writes the request's own cells make — so the deltas of all
+/// requests sum to the store's counters — and it lets the daemon answer
+/// store hits at admission: while probing, running a cell's closure
+/// either serves the cell from the store or stops at the miss, before
+/// anything simulates. A probed miss is remembered, and the cell's next
+/// lookup (when it runs for real) is skipped instead of repeated, so
+/// each cell is looked up once.
+class StoreView final : public CellStore {
+ public:
+  explicit StoreView(ResultStore& store) : store_(store) {}
+
+  bool load(const CellKey& key, SimResult& out) override;
+  void save(const CellKey& key, const SimResult& r) override;
+  bool probing() const override { return probing_; }
+
+  void set_probing(bool on) { probing_ = on; }
+
+  std::int64_t hits() const { return hits_.load(); }
+  std::int64_t misses() const { return misses_.load(); }
+  std::int64_t writes() const { return writes_.load(); }
+
+ private:
+  ResultStore& store_;
+  bool probing_ = false;  // set only before the request's cells run
+  std::mutex mu_;         // guards missed_
+  std::unordered_set<std::uint64_t> missed_;  // probed misses, by hash
+  std::atomic<std::int64_t> hits_{0};
+  std::atomic<std::int64_t> misses_{0};
+  std::atomic<std::int64_t> writes_{0};
 };
 
 }  // namespace afs

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +28,17 @@ namespace {
 /// that reject fsync on special files with EINVAL — durability degrades
 /// but atomic visibility via rename still holds there.
 bool fsync_fd(int fd) { return ::fsync(fd) == 0 || errno == EINVAL; }
+
+/// True when `path` is a file whose bytes are exactly `content`.
+bool file_holds(const std::string& path, const std::string& content) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in || in.tellg() != static_cast<std::streamoff>(content.size()))
+    return false;
+  in.seekg(0);
+  std::string have(content.size(), '\0');
+  in.read(have.data(), static_cast<std::streamsize>(have.size()));
+  return in && have == content;
+}
 
 void fsync_parent_dir(const std::filesystem::path& p) {
   const std::filesystem::path dir =
@@ -50,6 +62,10 @@ std::string unique_tmp_path(const std::string& final_path) {
 }
 
 void write_file_atomic(const std::string& path, const std::string& content) {
+  // Bytes already published by this protocol need no second publish (nor
+  // its two fsyncs): a daemon answering a repeated request from the store
+  // rewrites the very CSV it wrote before.
+  if (file_holds(path, content)) return;
   const std::filesystem::path target(path);
   if (target.has_parent_path())
     std::filesystem::create_directories(target.parent_path());

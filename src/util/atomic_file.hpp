@@ -20,8 +20,9 @@ namespace afs {
 /// threads and calls.
 std::string unique_tmp_path(const std::string& final_path);
 
-/// Writes `content` to `path` via the tmp+fsync+rename protocol above.
-/// Parent directories are created as needed. Throws std::runtime_error
+/// Writes `content` to `path` via the tmp+fsync+rename protocol above,
+/// unless `path` already holds exactly `content` (then it is left as it
+/// is). Parent directories are created as needed. Throws std::runtime_error
 /// (with errno context) on any I/O failure; the temp file is unlinked on
 /// the failure path so retries start clean.
 void write_file_atomic(const std::string& path, const std::string& content);

@@ -1,7 +1,8 @@
 // The experiment registry: every paper reproduction keyed by id, the
 // cached-cell helper the bespoke tables run through, and one queue for a
 // run of several experiments (blocks in registry order, repeated keys
-// served from the store, a failing table reported rather than fatal).
+// served from the store, stored cells served at admission, a failing
+// table reported rather than fatal).
 // End-to-end coverage of a whole pass lives in CI's sweep-service job and
 // the perf/ smoke test; these tests pin the registry contract itself.
 #include "experiments/registry.hpp"
@@ -159,6 +160,57 @@ TEST(RunQueue, RepeatedKeysHitInEitherOrder) {
       EXPECT_EQ(store.writes(), 64) << order.front()->id << " round " << round;
     }
   }
+}
+
+TEST(RunQueue, AdmissionServesStoredCellsAndQueuesOnlyMisses) {
+  // The daemon's path: fig07 + tab5 planned under a request's StoreView
+  // and looked up at admission. Cold, every first instance misses there
+  // and is queued, and each of the 25 repeated keys is queued without a
+  // lookup, to run after its first instance and hit: the view counts the
+  // batch witness, 25/64/64. Warm, admission serves all 89 cells and
+  // queues none. Both runs write the same CSVs.
+  const std::vector<const Experiment*> selected{find_experiment("fig07"),
+                                                find_experiment("tab5")};
+  const std::string dir = fresh_dir("run_queue_admission");
+  ResultStore store(dir + "/.store");
+  CellQueue queue(4);
+  std::string cold_csvs;
+  for (const bool warm : {false, true}) {
+    StoreView view(store);
+    ExperimentContext ctx;
+    ctx.cli.out_dir = dir;
+    ctx.store = &view;
+    std::ostringstream out;
+    ExperimentRun run(selected, ctx, out);
+    std::vector<std::size_t> index;
+    std::vector<SweepCellSpec> misses = run.take_misses(view, index);
+    EXPECT_EQ(misses.size(), warm ? 0u : 89u);
+    SweepOptions opts;
+    opts.queue = &queue;
+    run_sweep(std::move(misses), opts, [&](std::size_t k, CellOutcome o) {
+      run.land(index[k], std::move(o));
+    });
+    EXPECT_EQ(run.codes(), (std::vector<int>{0, 0}));
+    EXPECT_EQ(view.hits(), warm ? 89 : 25);
+    EXPECT_EQ(view.misses(), warm ? 0 : 64);
+    EXPECT_EQ(view.writes(), warm ? 0 : 64);
+    std::string csvs;
+    for (const char* id : {"fig07", "tab5"}) {
+      std::ifstream in(dir + "/" + id + ".csv");
+      std::stringstream text;
+      text << in.rdbuf();
+      csvs += text.str();
+    }
+    EXPECT_FALSE(csvs.empty());
+    if (warm)
+      EXPECT_EQ(csvs, cold_csvs);
+    else
+      cold_csvs = csvs;
+  }
+  // The views' counts are exactly the store's.
+  EXPECT_EQ(store.hits(), 25 + 89);
+  EXPECT_EQ(store.misses(), 64);
+  EXPECT_EQ(store.writes(), 64);
 }
 
 TEST(RunQueue, BlocksPrintInRegistryOrder) {

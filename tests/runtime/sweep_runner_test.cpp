@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -25,7 +26,6 @@
 #include "kernels/synthetic.hpp"
 #include "machines/machines.hpp"
 #include "runtime/cell_executor.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sched/registry.hpp"
 #include "sim/machine_sim.hpp"
 #include "util/check.hpp"
@@ -472,10 +472,9 @@ TEST(SweepRunner, RejectsDuplicateCellsAndBadOptions) {
 TEST(SweepRunner, CostliestReadyCellStartsFirst) {
   // One worker, so the start order is the queue order: descending cost,
   // declaration order breaking ties.
-  ThreadPool pool(1);
+  CellQueue queue(1);
   SweepOptions opts;
-  opts.jobs = 2;  // pooled mode, on the borrowed one-thread pool
-  opts.pool = &pool;
+  opts.queue = &queue;  // queued mode, on the borrowed one-worker queue
   std::vector<SweepCellSpec> cells =
       synthetic_cells({"A", "B", "C", "D", "E"}, {1});
   const double costs[] = {1.0, 5.0, 3.0, 5.0, 0.5};
@@ -654,6 +653,78 @@ TEST(SweepRunner, TokenFiredMidQueueCancelsQueuedCellsUnrun) {
       if (f.attempts == 0) ++unstarted;
     }
     EXPECT_EQ(unstarted, jobs == 1 ? 6 : 5) << "jobs=" << jobs;
+  }
+
+  // Two batches on one shared queue: firing one batch's token cancels
+  // that batch's queued cells, while the other batch — its token never
+  // fired — runs every cell. One worker, so the first batch's cells would
+  // all start before the second's if the token did not stop them.
+  CellQueue queue(1);
+  CancelToken doomed_token;
+  std::atomic<int> doomed_ran{0}, kept_ran{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<CellOutcome> doomed(7), kept(8);
+  int landed = 0;
+  const auto sink = [&](std::vector<CellOutcome>& into) {
+    return BatchSink{nullptr, [&, out = &into](std::size_t k, CellOutcome o) {
+                       std::scoped_lock lock(mu);
+                       (*out)[k] = std::move(o);
+                       ++landed;
+                       cv.notify_all();
+                     }};
+  };
+  std::vector<SweepCellSpec> a;
+  a.push_back({"FIRE", 1, [&](const CancelToken& t) -> SimResult {
+                 ++doomed_ran;
+                 doomed_token.cancel();
+                 while (!t.cancelled()) {
+                 }
+                 throw CancelledError("observed its batch's token");
+               }});
+  a.front().cost = 10.0;  // the batch's costliest cell: it starts first
+  for (int p = 1; p <= 6; ++p)
+    a.push_back({"QUEUED", p, [&doomed_ran](const CancelToken&) {
+                   ++doomed_ran;
+                   return synthetic_result("QUEUED", 1);
+                 }});
+  std::vector<SweepCellSpec> b;
+  for (int p = 1; p <= 8; ++p)
+    b.push_back({"OTHER", p, [&](const CancelToken& t) {
+                   EXPECT_FALSE(t.cancelled());
+                   ++kept_ran;
+                   return synthetic_result("OTHER", 1);
+                 }});
+  SweepOptions a_opts;
+  a_opts.cancel = &doomed_token;
+  queue.submit(std::move(a), a_opts, sink(doomed));
+  queue.submit(std::move(b), SweepOptions{}, sink(kept));
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return landed == 15; });
+  }
+  EXPECT_EQ(doomed_ran.load(), 1);
+  for (const CellOutcome& o : doomed) {
+    ASSERT_FALSE(o.result);
+    EXPECT_EQ(o.failure.kind, "cancelled");
+  }
+  EXPECT_EQ(kept_ran.load(), 8);
+  for (const CellOutcome& o : kept) EXPECT_TRUE(o.result);
+
+  // A batch whose token fired before it was submitted runs nothing.
+  CancelToken already;
+  already.cancel();
+  SweepOptions late;
+  late.cancel = &already;
+  late.queue = &queue;
+  std::atomic<int> late_ran{0};
+  const Collected c = run_queue(
+      synthetic_cells({"LATE"}, {1, 2, 3}, &late_ran), late);
+  EXPECT_EQ(late_ran.load(), 0);
+  ASSERT_EQ(c.failures.size(), 3u);
+  for (const CellFailure& f : c.failures) {
+    EXPECT_EQ(f.kind, "cancelled");
+    EXPECT_EQ(f.attempts, 0);
   }
 }
 

@@ -3,13 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "util/cancel.hpp"
 #include "util/check.hpp"
 
 namespace afs {
@@ -125,52 +122,6 @@ TEST(ThreadPool, TasksQueuedAtDestructionStillRun) {
       pool.submit([&] { count.fetch_add(1); });
   }
   EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, CancelledTokenDiscardsQueuedTasks) {
-  // The sweep-deadline contract: once the token fires, work that has not
-  // started must never start — drain() waits only for the in-flight task.
-  ThreadPool pool(1);
-  CancelToken token;
-  pool.set_cancel(&token);
-  std::atomic<int> ran{0};
-  std::promise<void> started;
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    started.set_value();
-    while (!release.load()) std::this_thread::yield();
-    ran.fetch_add(1);
-  });
-  for (int i = 0; i < 25; ++i) pool.submit([&] { ran.fetch_add(1); });
-  started.get_future().wait();  // the 25 are definitely still queued
-  token.cancel();
-  release.store(true);
-  pool.drain();
-  EXPECT_EQ(ran.load(), 1);  // only the already-running task finished
-  EXPECT_EQ(pool.discarded(), 25u);
-}
-
-TEST(ThreadPool, TasksSubmittedAfterCancellationNeverStart) {
-  ThreadPool pool(2);
-  CancelToken token;
-  token.cancel();
-  pool.set_cancel(&token);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 10; ++i) pool.submit([&] { ran.fetch_add(1); });
-  pool.drain();
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(pool.discarded(), 10u);
-}
-
-TEST(ThreadPool, UnfiredTokenChangesNothing) {
-  ThreadPool pool(2);
-  CancelToken token;
-  pool.set_cancel(&token);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 40; ++i) pool.submit([&] { ran.fetch_add(1); });
-  pool.drain();
-  EXPECT_EQ(ran.load(), 40);
-  EXPECT_EQ(pool.discarded(), 0u);
 }
 
 TEST(ThreadPool, SubmitInterleavesWithRunOnAll) {

@@ -3,13 +3,15 @@
 // driven through real Unix-domain sockets via ServiceClient — the same
 // transport `afs_sweep request` uses. Each test gets its own socket and
 // out-dir under /tmp; the store is disabled so every run actually
-// simulates (warm-store behavior is the soak test's subject).
+// simulates, except in the tests of admission (hits answered at once,
+// answer order, per-request store deltas), which give it a store.
 #include "service/daemon.hpp"
 
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -17,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "service/client.hpp"
 #include "service/json.hpp"
@@ -36,6 +39,23 @@ const char* const kFastGrid =
 const char* const kSlowGrid =
     "{\"verb\":\"grid\",\"kernel\":\"gauss:4000\",\"machine\":\"butterfly1\","
     "\"schedulers\":\"SS,GSS\",\"procs\":\"1,2,4,8,16\"";
+// A miss that simulates for a few tenths of a second.
+const char* const kMediumGrid =
+    "{\"verb\":\"grid\",\"kernel\":\"gauss:2000\",\"machine\":"
+    "\"butterfly1\",\"schedulers\":\"SS,GSS\",\"procs\":\"1,2\"";
+// Small grids for the store tests; kSmallGrids[0] and [2] share their SS
+// cells.
+const char* const kSmallGrids[] = {
+    "{\"verb\":\"grid\",\"kernel\":\"gauss:300\",\"machine\":\"iris\","
+    "\"schedulers\":\"SS,GSS\",\"procs\":\"1,2,4\"",
+    "{\"verb\":\"grid\",\"kernel\":\"sor:200,4\",\"machine\":"
+    "\"butterfly1\",\"schedulers\":\"AFS,GSS\",\"procs\":\"2,4\"",
+    "{\"verb\":\"grid\",\"kernel\":\"gauss:300\",\"machine\":\"iris\","
+    "\"schedulers\":\"SS,AFS\",\"procs\":\"1,2,4\""};
+const int kSmallGridCells[] = {6, 4, 6};
+
+/// A `done` event's per-request store delta: {hits, misses, writes}.
+using Delta = std::array<double, 3>;
 
 class DaemonTest : public ::testing::Test {
  protected:
@@ -136,6 +156,47 @@ class DaemonTest : public ::testing::Test {
   static std::string CodeOf(const JsonValue& v) {
     const JsonValue* c = v.find("code");
     return c != nullptr && c->is_string() ? c->string : "<none>";
+  }
+
+  static std::string TagOf(const JsonValue& v) {
+    const JsonValue* t = v.find("tag");
+    return t != nullptr && t->is_string() ? t->string : "<none>";
+  }
+
+  static Delta DeltaOf(const JsonValue& done) {
+    Delta d{-1.0, -1.0, -1.0};
+    if (const JsonValue* s = done.find("store")) {
+      const char* const fields[] = {"hits", "misses", "writes"};
+      for (int i = 0; i < 3; ++i)
+        if (const JsonValue* f = s->find(fields[i])) d[i] = f->number;
+    }
+    return d;
+  }
+
+  /// Options for a daemon with a store of its own.
+  void WithStore(DaemonOptions& o) {
+    o.no_store = false;
+    o.store_dir = dir_ + "/store";
+  }
+
+  /// Sends `line` and reads to its terminal event, which must be "done".
+  void RunToDone(ServiceClient& c, const std::string& line, JsonValue& v) {
+    ASSERT_TRUE(c.send_line(line));
+    ASSERT_TRUE(ReadTerminal(c, v));
+    ASSERT_EQ(EventOf(v), "done") << "code=" << CodeOf(v);
+  }
+
+  /// Polls `health` on `probe` until `in_flight` requests are running.
+  void WaitInFlight(ServiceClient& probe, double in_flight) {
+    const auto deadline = steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      ASSERT_LT(steady_clock::now(), deadline) << "request never started";
+      ASSERT_TRUE(probe.send_line("{\"verb\":\"health\"}"));
+      JsonValue h;
+      ASSERT_TRUE(ReadJson(probe, h));
+      if (h.find("in_flight")->number == in_flight) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
   }
 
   std::string dir_;
@@ -307,7 +368,7 @@ TEST_F(DaemonTest, FullQueueRejectsWithOverloaded) {
   ServiceClient c;
   ASSERT_TRUE(Connect(c));
 
-  // First request: admitted, then picked up by the dispatcher.
+  // First request: admitted, then its first cell starts.
   ASSERT_TRUE(c.send_line(std::string(kSlowGrid) + ",\"tag\":\"t1\"}"));
   JsonValue v;
   ASSERT_TRUE(ReadJson(c, v));
@@ -339,8 +400,8 @@ TEST_F(DaemonTest, FullQueueRejectsWithOverloaded) {
   EXPECT_EQ(CodeOf(v), err::kOverloaded);
   EXPECT_EQ(daemon_->stats().rejected_overloaded.load(), 1);
 
-  // Drain: the in-flight request is cancelled after the (short) drain
-  // timeout, the queued one is cancelled when popped, and both report it.
+  // Drain: the waiting request is cancelled at once, the in-flight one
+  // after the (short) drain timeout, and both report it.
   daemon_->request_drain();
   int cancelled = 0;
   while (cancelled < 2) {
@@ -398,6 +459,105 @@ TEST_F(DaemonTest, DisconnectCancelsInFlightOthersUnaffected) {
   ASSERT_TRUE(c.send_line(std::string(kFastGrid) + "}"));
   ASSERT_TRUE(ReadTerminal(c, v));
   EXPECT_EQ(EventOf(v), "done") << "code=" << CodeOf(v);
+}
+
+TEST_F(DaemonTest, HitAnswersWhileAMissSimulates) {
+  Start([this](DaemonOptions& o) { WithStore(o); });
+  ServiceClient a, b;
+  ASSERT_TRUE(Connect(a));
+  ASSERT_TRUE(Connect(b));
+  JsonValue v;
+  // B's grid goes into the store first.
+  RunToDone(b, std::string(kSmallGrids[0]) + "}", v);
+
+  // A: a never-seen grid that simulates for seconds.
+  ASSERT_TRUE(a.send_line(std::string(kSlowGrid) + ",\"tag\":\"miss\"}"));
+  ASSERT_TRUE(ReadJson(a, v));
+  ASSERT_EQ(EventOf(v), "accepted");
+  WaitInFlight(b, 1.0);
+
+  // B: every cell is stored, so it is answered while A still simulates —
+  // it does not wait behind A.
+  RunToDone(b, std::string(kSmallGrids[0]) + ",\"tag\":\"hit\"}", v);
+  EXPECT_EQ(TagOf(v), "hit");
+  EXPECT_EQ(DeltaOf(v), (Delta{6, 0, 0}));
+  ASSERT_TRUE(b.send_line("{\"verb\":\"health\"}"));
+  ASSERT_TRUE(ReadJson(b, v));
+  EXPECT_DOUBLE_EQ(v.find("in_flight")->number, 1.0) << "A finished first";
+  EXPECT_EQ(daemon_->stats().completed.load(), 2);
+
+  a.close();  // cancels A: no need to wait for it
+}
+
+TEST_F(DaemonTest, PipelinedRequestsAnswerInSubmissionOrder) {
+  Start([this](DaemonOptions& o) { WithStore(o); });
+  ServiceClient c;
+  ASSERT_TRUE(Connect(c));
+  JsonValue v;
+  RunToDone(c, std::string(kSmallGrids[0]) + "}", v);
+  EXPECT_EQ(DeltaOf(v), (Delta{0, 6, 6}));
+
+  // A miss, then a hit, pipelined: the hit is served at admission, but
+  // nothing of its answer overtakes the miss's.
+  ASSERT_TRUE(c.send_line(std::string(kMediumGrid) + ",\"tag\":\"miss\"}"));
+  ASSERT_TRUE(c.send_line(std::string(kSmallGrids[0]) + ",\"tag\":\"hit\"}"));
+  std::vector<std::string> order;  // tags of the terminal events
+  bool hit_before_miss_done = false;
+  while (order.size() < 2) {
+    ASSERT_TRUE(ReadJson(c, v, 60.0));
+    const std::string event = EventOf(v);
+    if (event == "accepted") continue;
+    if (TagOf(v) == "hit" && order.empty()) hit_before_miss_done = true;
+    if (event == "log") continue;
+    ASSERT_EQ(event, "done") << "code=" << CodeOf(v);
+    order.push_back(TagOf(v));
+    // Each request's store delta is its own cells' traffic.
+    EXPECT_EQ(DeltaOf(v), TagOf(v) == "miss" ? (Delta{0, 4, 4})
+                                             : (Delta{6, 0, 0}));
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"miss", "hit"}));
+  EXPECT_FALSE(hit_before_miss_done) << "the hit's output overtook the miss";
+}
+
+TEST_F(DaemonTest, ConcurrentStoreDeltasSumToStoreCounters) {
+  Start([this](DaemonOptions& o) {
+    WithStore(o);
+    o.jobs = 2;
+  });
+  // Two connections pipeline overlapping grids at once, so cold, warm and
+  // shared cells interleave across requests.
+  const std::vector<std::vector<int>> plans = {{0, 1, 2, 0}, {2, 0, 1, 2}};
+  std::vector<Delta> sums(plans.size(), Delta{0, 0, 0});
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    clients.emplace_back([&, i] {
+      ServiceClient c;
+      if (!Connect(c)) return;
+      for (int g : plans[i])
+        ASSERT_TRUE(c.send_line(std::string(kSmallGrids[g]) + "}"));
+      for (int g : plans[i]) {
+        JsonValue v;
+        ASSERT_TRUE(ReadTerminal(c, v));
+        ASSERT_EQ(EventOf(v), "done") << "code=" << CodeOf(v);
+        const Delta d = DeltaOf(v);
+        // Its own cells: each looked up once, each miss published.
+        EXPECT_EQ(d[0] + d[1], kSmallGridCells[g]);
+        EXPECT_EQ(d[2], d[1]);
+        for (int k = 0; k < 3; ++k) sums[i][k] += d[k];
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  ServiceClient c;
+  ASSERT_TRUE(Connect(c));
+  ASSERT_TRUE(c.send_line("{\"verb\":\"stats\"}"));
+  JsonValue st;
+  ASSERT_TRUE(ReadJson(c, st));
+  const char* const counters[] = {"store_hits", "store_misses", "store_writes"};
+  for (int k = 0; k < 3; ++k)
+    EXPECT_EQ(sums[0][k] + sums[1][k], st.find(counters[k])->number)
+        << counters[k];
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ for k in "${KERNELS[@]}"; do
     pids+=($!)
   done
 done
-# A grid not in the warm set keeps the dispatcher genuinely mid-compute
+# A grid not in the warm set keeps the daemon genuinely mid-compute
 # when the SIGKILL lands (the warm grids replay from the store fast).
 request_grid gauss:4000 SS,GSS /dev/null &
 pids+=($!)

@@ -1,7 +1,10 @@
 // Crash-safe writes under concurrency: writers of one path never share a
 // temp file, so the published file is always exactly one writer's
-// content and no temp file outlives its writer.
+// content and no temp file outlives its writer; rewriting identical
+// content publishes nothing.
 #include "util/atomic_file.hpp"
+
+#include <sys/stat.h>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +64,29 @@ TEST(AtomicFile, ConcurrentWritersOfOnePathPublishOneWholeContent) {
   for (const auto& e : fs::directory_iterator(dir))
     EXPECT_EQ(e.path().filename().string().find(".tmp"), std::string::npos)
         << "leftover temp file " << e.path();
+  fs::remove_all(dir);
+}
+
+TEST(AtomicFile, IdenticalContentIsLeftInPlace) {
+  // Rewriting the bytes a file already holds publishes nothing (no new
+  // inode from a rename); different bytes still replace it.
+  const fs::path dir = fs::path(::testing::TempDir()) / "afs_atomic_same";
+  fs::remove_all(dir);
+  const std::string path = (dir / "table.csv").string();
+  const auto inode = [&path] {
+    struct stat st {};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0);
+    return st.st_ino;
+  };
+  write_file_atomic(path, "a,b\n1,2\n");
+  const auto first = inode();
+  write_file_atomic(path, "a,b\n1,2\n");
+  EXPECT_EQ(inode(), first);
+  write_file_atomic(path, "a,b\n1,3\n");
+  EXPECT_NE(inode(), first);
+  EXPECT_EQ(read_all(path), "a,b\n1,3\n");
+  write_file_atomic(path, "a,b\n1,3\n1,4\n");  // a longer prefix match
+  EXPECT_EQ(read_all(path), "a,b\n1,3\n1,4\n");
   fs::remove_all(dir);
 }
 

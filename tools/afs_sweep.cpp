@@ -25,8 +25,10 @@
 //       anything corrupt was found).
 //   afs_sweep serve --socket=PATH [--jobs=N --max-queue=M ...]
 //       the long-running sweep daemon: line-delimited JSON requests over
-//       a Unix-domain socket, served in arrival order against the same
-//       registry and store (docs/SWEEP_SERVICE.md, "Serving"). With
+//       a Unix-domain socket, against the same registry and store
+//       (docs/SWEEP_SERVICE.md, "Serving"). Store hits are answered at
+//       admission; only missing cells wait, on one cell queue that every
+//       request shares (--jobs workers). With
 //       --isolation=process cells execute in supervised sandbox worker
 //       subprocesses: crashes are contained, crash-looping cells are
 //       quarantined (poison_cell), and an exhausted restart budget turns
@@ -377,13 +379,13 @@ int cmd_run(const std::vector<std::string>& args) {
       if (one != 0 && rc == 0) rc = one;
   }
 
-  if (ctx.store) {
-    const double rate = ctx.store->hit_rate() * 100.0;
+  if (store) {
+    const double rate = store->hit_rate() * 100.0;
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.1f", rate);
-    std::cout << "store: hits=" << ctx.store->hits()
-              << " misses=" << ctx.store->misses()
-              << " writes=" << ctx.store->writes() << " hit_rate=" << buf
+    std::cout << "store: hits=" << store->hits()
+              << " misses=" << store->misses()
+              << " writes=" << store->writes() << " hit_rate=" << buf
               << "%\n";
   }
   if (sandbox) {
