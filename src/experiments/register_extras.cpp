@@ -1,7 +1,6 @@
-// The beyond-the-paper experiments: the AFS design-choice ablations, the
-// §5.1 architecture-trend argument made quantitative, and the
-// google-benchmark microbenchmark entry. Each plans its cells
-// (table_cell) and renders its tables from their results.
+// The beyond-the-paper experiments: the AFS design-choice ablations and
+// the §5.1 architecture-trend argument made quantitative. Each plans its
+// cells (table_cell) and renders its tables from their results.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -227,20 +226,6 @@ void register_extra_experiments(std::vector<Experiment>& experiments) {
   experiments.push_back(table_experiment(
       "trend_comm_ratio", "AFS advantage vs compute/communication ratio",
       {"trend"}, plan_trend));
-  Experiment micro;
-  micro.id = "micro_queues";
-  micro.title = "Queue/scheduler microbenchmarks (google-benchmark)";
-  micro.kind = ExperimentKind::kMicro;
-  micro.plan = [](const ExperimentContext&) {
-    ExperimentPlan plan;
-    plan.render = [](std::vector<CellOutcome>&, std::ostream& out) {
-      out << "(google-benchmark binary — run build/bench/bench_micro_queues "
-             "directly; not an in-process sweep)\n";
-      return 0;
-    };
-    return plan;
-  };
-  experiments.push_back(micro);
 }
 
 }  // namespace afs

@@ -149,20 +149,16 @@ SweepOptions sweep_options(const ExperimentContext& ctx) {
 
 std::vector<int> run_experiments(
     const std::vector<const Experiment*>& experiments,
-    const ExperimentContext& ctx, std::ostream& out) {
+    const ExperimentContext& ctx, std::ostream& out, std::size_t* cells) {
+  if (cells != nullptr) *cells = 0;
   if (experiments.empty()) return {};
   ExperimentRun run(experiments, ctx, out);
+  if (cells != nullptr) *cells = run.cell_count();
   run_sweep(
       run.take_cells(), sweep_options(ctx),
       [&run](std::size_t k, CellOutcome o) { run.land(k, std::move(o)); },
       ctx.log);
   return run.codes();
-}
-
-int run_experiment(const Experiment& e, const ExperimentContext& ctx,
-                   std::ostream& out) {
-  const std::vector<int> codes = run_experiments({&e}, ctx, out);
-  return codes.empty() ? EXIT_FAILURE : codes.front();
 }
 
 Experiment figure_experiment(

@@ -1,7 +1,6 @@
 // The experiment registry: every figure/table reproduction the repo knows
 // how to run, keyed by id ("fig03".."fig17", "tab2".."tab7",
-// "ablation_afs", "micro_queues", "trend_comm_ratio",
-// "frontier_tradeoff").
+// "ablation_afs", "trend_comm_ratio", "frontier_tradeoff").
 //
 // Each entry plans its cells (a FigureSpec grid or a bespoke table's
 // rows) and renders its block and paper shape checks from their results,
@@ -31,7 +30,7 @@ struct CellKey;
 enum class ExperimentKind {
   kFigure,  ///< a FigureSpec grid of (scheduler, P) cells
   kTable,   ///< a bespoke table, rendered only from a complete set of cells
-  kMicro,   ///< a google-benchmark binary; listed, not runnable in-process
+  kMicro,   ///< no experiment has this kind; kept for perf/workloads.cpp
 };
 
 /// Everything an experiment needs from its caller. The store is borrowed
@@ -73,7 +72,7 @@ struct Experiment {
   /// a table), never for shape mismatches — those are data.
   std::function<ExperimentPlan(const ExperimentContext&)> plan;
   /// Rebuilds the experiment's FigureSpec (figure experiments only; null
-  /// for tables and micros). This is what lets a sandbox worker rerun one
+  /// for tables). This is what lets a sandbox worker rerun one
   /// cell of a registered figure from nothing but the experiment id.
   std::function<FigureSpec()> make_spec;
 };
@@ -120,6 +119,8 @@ class ExperimentRun {
   const std::vector<const Experiment*>& experiments() const {
     return experiments_;
   }
+  /// How many cells the experiments planned.
+  std::size_t cell_count() const { return owner_.size(); }
   /// One exit code per printed block; fewer than experiments().size()
   /// until every block printed, or for good once ctx.cancel fired.
   const std::vector<int>& codes() const { return codes_; }
@@ -154,15 +155,12 @@ SweepOptions sweep_options(const ExperimentContext& ctx);
 /// in the caller in registry and declaration order), each block printed
 /// in the given order as soon as it and every block before it are
 /// complete. Returns one exit code per printed block; fewer than
-/// experiments.size() only when ctx.cancel fired.
+/// experiments.size() only when ctx.cancel fired. `cells`, when given,
+/// receives the number of cells planned.
 std::vector<int> run_experiments(
     const std::vector<const Experiment*>& experiments,
-    const ExperimentContext& ctx, std::ostream& out);
-
-/// run_experiments for one experiment: its exit code (1 if cancelled
-/// before its block printed).
-int run_experiment(const Experiment& e, const ExperimentContext& ctx,
-                   std::ostream& out);
+    const ExperimentContext& ctx, std::ostream& out,
+    std::size_t* cells = nullptr);
 
 // ---------------- helpers for registering experiments ---------------------
 

@@ -375,17 +375,9 @@ void SweepDaemon::admit(const std::shared_ptr<Connection>& conn, Request req) {
   if (req.verb == Verb::kRun) {
     if (!req.all) {
       for (const std::string& id : req.ids) {
-        const Experiment* exp = find_experiment(id);
-        if (exp == nullptr) {
+        if (find_experiment(id) == nullptr) {
           conn->write_line(response_error(
               {err::kUnknownExperiment, "unknown experiment '" + id + "'"},
-              req.tag));
-          return;
-        }
-        if (exp->kind == ExperimentKind::kMicro) {
-          conn->write_line(response_error(
-              {err::kBadRequest,
-               "'" + id + "' is a google-benchmark binary, not servable"},
               req.tag));
           return;
         }
@@ -502,7 +494,7 @@ void SweepDaemon::start(const std::shared_ptr<Job>& job) {
       experiments.push_back(&job->grid);
     } else if (r.req.all) {
       for (const Experiment& exp : all_experiments())
-        if (exp.kind != ExperimentKind::kMicro) experiments.push_back(&exp);
+        experiments.push_back(&exp);
     } else {
       for (const std::string& id : r.req.ids)
         experiments.push_back(find_experiment(id));  // non-null per admission

@@ -106,6 +106,11 @@ class WorkerPool : public CellExecutor {
   SimResult execute(const CellExecSpec& spec, const std::string& label,
                     int procs, const EngineToggles& toggles,
                     const CancelToken& token) override;
+  /// The same with the default (production) engine.
+  SimResult execute(const CellExecSpec& spec, const std::string& label,
+                    int procs, const CancelToken& token) {
+    return execute(spec, label, procs, EngineToggles{}, token);
+  }
 
   WorkerPoolStats stats() const;
   bool degraded() const;

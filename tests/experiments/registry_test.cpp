@@ -36,8 +36,7 @@ TEST(Registry, AllHistoricalBinariesAreRegistered) {
       "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09",
       "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
       "fig17", "tab2",  "tab3",  "tab4",  "tab5",  "tab6",  "tab7",
-      "ablation_afs", "trend_comm_ratio", "frontier_tradeoff",
-      "micro_queues"};
+      "ablation_afs", "trend_comm_ratio", "frontier_tradeoff"};
   std::set<std::string> actual;
   for (const Experiment& e : all_experiments()) actual.insert(e.id);
   EXPECT_EQ(actual, expected);
@@ -48,9 +47,7 @@ TEST(Registry, EntriesAreWellFormed) {
   for (const Experiment& e : all_experiments()) {
     EXPECT_FALSE(e.title.empty()) << e.id;
     EXPECT_TRUE(e.plan != nullptr) << e.id;
-    if (e.kind != ExperimentKind::kMicro) {
-      EXPECT_FALSE(e.csv_ids.empty()) << e.id;
-    }
+    EXPECT_FALSE(e.csv_ids.empty()) << e.id;
   }
 }
 
@@ -61,16 +58,6 @@ TEST(Registry, FindExperimentByIdAndUnknown) {
   EXPECT_EQ(fig04->kind, ExperimentKind::kFigure);
   EXPECT_EQ(find_experiment("fig99"), nullptr);
   EXPECT_EQ(find_experiment(""), nullptr);
-}
-
-TEST(Registry, MicroExperimentShortCircuits) {
-  const Experiment* micro = find_experiment("micro_queues");
-  ASSERT_NE(micro, nullptr);
-  EXPECT_EQ(micro->kind, ExperimentKind::kMicro);
-  ExperimentContext ctx;
-  std::ostringstream out;
-  EXPECT_EQ(run_experiment(*micro, ctx, out), 0);
-  EXPECT_NE(out.str().find("google-benchmark"), std::string::npos);
 }
 
 /// Runs a table cell to completion on the caller's thread.
@@ -135,10 +122,10 @@ std::vector<std::string> headers_of(const std::string& text) {
 }
 
 TEST(RunQueue, RepeatedKeysHitInEitherOrder) {
-  // fig07 and tab5 share 25 cells. Planned together on one queue, the
-  // second instance of each waits for the first to publish, so a cold
-  // store serves it: 25 hits, 64 misses, 64 writes — every time, in both
-  // registry orders, under four workers.
+  // fig07 and tab5 share 25 of their 89 cells. Planned together on one
+  // queue, the second instance of each waits for the first to publish, so
+  // a cold store serves it: 25 hits, 64 misses, 64 writes — every time,
+  // in both registry orders, under four workers.
   const Experiment* fig07 = find_experiment("fig07");
   const Experiment* tab5 = find_experiment("tab5");
   ASSERT_NE(fig07, nullptr);
@@ -153,8 +140,10 @@ TEST(RunQueue, RepeatedKeysHitInEitherOrder) {
       ctx.cli.jobs = 4;
       ctx.store = &store;
       std::ostringstream out;
-      const std::vector<int> codes = run_experiments(order, ctx, out);
+      std::size_t cells = 0;
+      const std::vector<int> codes = run_experiments(order, ctx, out, &cells);
       ASSERT_EQ(codes, (std::vector<int>{0, 0}));
+      EXPECT_EQ(cells, 89u);
       EXPECT_EQ(store.hits(), 25) << order.front()->id << " round " << round;
       EXPECT_EQ(store.misses(), 64) << order.front()->id << " round " << round;
       EXPECT_EQ(store.writes(), 64) << order.front()->id << " round " << round;

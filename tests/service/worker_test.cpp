@@ -96,15 +96,21 @@ TEST(WorkerPool, CellResultsAreBitIdenticalToInProcess) {
   const CancelToken token;
   for (const std::string label : {"SS", "GSS", "AFS"})
     for (int p : {1, 2, 4}) {
+      const std::string in_process =
+          serialize_sim_result(in_process_cell(label, p));
       const SimResult sandboxed = pool.execute(
           small_grid_spec(), label, p, EngineToggles{false, true}, token);
-      EXPECT_EQ(serialize_sim_result(sandboxed),
-                serialize_sim_result(in_process_cell(label, p)))
+      EXPECT_EQ(serialize_sim_result(sandboxed), in_process)
+          << label << " P=" << p;
+      // Without toggles: the default engine.
+      EXPECT_EQ(
+          serialize_sim_result(pool.execute(small_grid_spec(), label, p, token)),
+          in_process)
           << label << " P=" << p;
     }
 
   const WorkerPoolStats s = pool.stats();
-  EXPECT_EQ(s.cells_executed, 9);
+  EXPECT_EQ(s.cells_executed, 18);
   EXPECT_EQ(s.crashes, 0);
   EXPECT_EQ(s.poisoned, 0);
   EXPECT_FALSE(s.degraded);
@@ -495,6 +501,47 @@ TEST_F(WorkerDaemonTest, PoisonedCellIsIsolatedHealthyCellsMatchBatch) {
   }
 
   fs::remove_all(batch_dir);
+}
+
+// ---------------------------------------------------------------------------
+// Registered figures through the sandbox: a worker rebuilds each cell's
+// FigureSpec from the experiment id alone (fig07's lineup includes the
+// opaque BEST-STATIC@adjoint-cost(75) entry). Tables have no recipe and
+// stay in-process, so the pool runs exactly fig07's cells.
+
+TEST(WorkerPool, RegisteredFigureCellsMatchInProcess) {
+  const std::vector<const Experiment*> selected{find_experiment("fig07"),
+                                                find_experiment("tab5")};
+  ASSERT_NE(selected[0], nullptr);
+  ASSERT_NE(selected[1], nullptr);
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("afs_worker_figures." + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  WorkerPool pool(test_pool_options(2));
+  std::string error;
+  ASSERT_TRUE(pool.start(error)) << error;
+
+  std::size_t fig07_cells = 0;
+  for (const bool sandboxed : {false, true}) {
+    ExperimentContext ctx;
+    ctx.cli.out_dir = (dir / (sandboxed ? "sandbox" : "in_process")).string();
+    ctx.cli.jobs = 2;
+    if (sandboxed) ctx.executor = &pool;
+    std::ostringstream out;
+    EXPECT_EQ(run_experiments(selected, ctx, out), (std::vector<int>{0, 0}))
+        << out.str();
+    if (!sandboxed) fig07_cells = selected[0]->plan(ctx).cells.size();
+  }
+  for (const char* csv : {"fig07.csv", "tab5.csv"}) {
+    const std::string in_process = read_file(dir / "in_process" / csv);
+    EXPECT_FALSE(in_process.empty()) << csv;
+    EXPECT_EQ(read_file(dir / "sandbox" / csv), in_process) << csv;
+  }
+  const WorkerPoolStats s = pool.stats();
+  EXPECT_GT(fig07_cells, 0u);
+  EXPECT_EQ(s.cells_executed, static_cast<std::int64_t>(fig07_cells));
+  EXPECT_EQ(s.crashes, 0);
+  fs::remove_all(dir);
 }
 
 }  // namespace

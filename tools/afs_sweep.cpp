@@ -109,8 +109,8 @@ int usage(std::ostream& out, int rc) {
          "        stats | health | shutdown\n"
          "        '{\"verb\":...}'       a raw protocol line\n"
          "shared flags: see afs_sweep run <id> --help;\n"
-         "run also takes --isolation=thread|process [--workers=N]\n"
-         "(sandboxed cell execution: a crash loses one attempt, not the\n"
+         "run also takes --isolation=thread|process (sandboxed cell\n"
+         "execution on --jobs workers: a crash loses one attempt, not the\n"
          "batch); the store defaults to <out-dir>/.store unless "
          "--no-store\n";
   return rc;
@@ -250,7 +250,6 @@ int cmd_run(const std::vector<std::string>& args) {
   bool run_all = false;
   std::string kernel, machine, schedulers, perturb;
   std::string isolation = "thread";
-  int sandbox_workers = 0;  // 0 = default to --jobs
   for (const std::string& a : args) {
     if (a == "--all") {
       run_all = true;
@@ -268,9 +267,6 @@ int cmd_run(const std::vector<std::string>& args) {
         std::cerr << "afs_sweep run: --isolation must be thread or process\n";
         return 2;
       }
-    } else if (a.rfind("--workers=", 0) == 0) {
-      if (!parse_int_flag(a, 10, "--workers", 1, 256, sandbox_workers))
-        return 2;
     } else if (a.rfind("--", 0) == 0) {
       shared.push_back(a);
     } else {
@@ -325,7 +321,7 @@ int cmd_run(const std::vector<std::string>& args) {
   std::unique_ptr<service::WorkerPool> sandbox;
   if (isolation == "process") {
     service::WorkerPoolOptions wopts;
-    wopts.workers = sandbox_workers > 0 ? sandbox_workers : cli.jobs;
+    wopts.workers = cli.jobs;
     wopts.log = &std::cerr;
     sandbox = std::make_unique<service::WorkerPool>(std::move(wopts));
     std::string werror;
@@ -337,7 +333,8 @@ int cmd_run(const std::vector<std::string>& args) {
     ctx.executor = sandbox.get();
   }
 
-  int rc = 0;
+  std::vector<const Experiment*> selected;
+  Experiment grid_experiment;
   if (grid) {
     if (kernel.empty() || machine.empty() || schedulers.empty()) {
       std::cerr << "afs_sweep run: a grid needs all of --kernel=, "
@@ -353,32 +350,32 @@ int cmd_run(const std::vector<std::string>& args) {
       g.schedulers = schedulers;
       g.perturb = perturb;
       g.procs = cli.procs;
-      const Experiment e = make_grid_experiment(g);
-      rc = run_experiment(e, ctx, std::cout);
+      grid_experiment = make_grid_experiment(g);
     } catch (const std::exception& ex) {
       std::cerr << "afs_sweep run: " << ex.what() << "\n";
       return 2;
     }
+    selected.push_back(&grid_experiment);
+  } else if (run_all) {
+    for (const Experiment& e : all_experiments()) selected.push_back(&e);
   } else {
-    std::vector<const Experiment*> selected;
-    if (run_all) {
-      for (const Experiment& e : all_experiments())
-        if (e.kind != ExperimentKind::kMicro) selected.push_back(&e);
-    } else {
-      for (const std::string& id : ids) {
-        const Experiment* e = find_experiment(id);
-        if (!e) {
-          std::cerr << "afs_sweep run: unknown experiment id '" << id
-                    << "' (see afs_sweep list)\n";
-          return 2;
-        }
-        selected.push_back(e);
+    for (const std::string& id : ids) {
+      const Experiment* e = find_experiment(id);
+      if (!e) {
+        std::cerr << "afs_sweep run: unknown experiment id '" << id
+                  << "' (see afs_sweep list)\n";
+        return 2;
       }
+      selected.push_back(e);
     }
-    for (const int one : run_experiments(selected, ctx, std::cout))
-      if (one != 0 && rc == 0) rc = one;
   }
+  int rc = 0;
+  std::size_t cells = 0;
+  for (const int one : run_experiments(selected, ctx, std::cout, &cells))
+    if (one != 0 && rc == 0) rc = one;
 
+  // The store witness; cells is the planned count, so a pass that sends
+  // every cell through the store reads hits + misses == cells.
   if (store) {
     const double rate = store->hit_rate() * 100.0;
     char buf[32];
@@ -386,7 +383,7 @@ int cmd_run(const std::vector<std::string>& args) {
     std::cout << "store: hits=" << store->hits()
               << " misses=" << store->misses()
               << " writes=" << store->writes() << " hit_rate=" << buf
-              << "%\n";
+              << "% cells=" << cells << "\n";
   }
   if (sandbox) {
     const service::WorkerPoolStats ws = sandbox->stats();
