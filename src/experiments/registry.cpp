@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -109,30 +110,85 @@ std::vector<SweepCellSpec> ExperimentRun::take_misses(
   return misses;
 }
 
+bool ExperimentRun::cancelled() const {
+  return ctx_.cancel != nullptr && ctx_.cancel->cancelled();
+}
+
+void ExperimentRun::render_on(CellQueue& queue) {
+  queue_ = &queue;
+  for (std::size_t i = next_; i < blocks_.size(); ++i)
+    if (blocks_[i].pending == 0) post_render(blocks_[i]);  // no cells
+}
+
+void ExperimentRun::post_render(Block& b) {
+  // The render consumes the outcomes; the failures are reported later,
+  // when the block prints.
+  if (ctx_.on_cell_failure)
+    for (const CellOutcome& o : b.outcomes)
+      if (!o.result) b.failures.push_back(o.failure);
+  {
+    std::scoped_lock lock(render_mu_);
+    ++rendering_;
+  }
+  queue_->post([this, &b] {
+    if (!cancelled()) {
+      std::ostringstream text;
+      render(b, text);
+      b.text = std::move(text).str();
+    }
+    b.render = nullptr;  // release the plan and results now
+    b.outcomes = {};
+    std::scoped_lock lock(render_mu_);
+    b.rendered = true;
+    --rendering_;
+    rendered_cv_.notify_all();  // under the lock: finish() may end the run
+  });
+}
+
+void ExperimentRun::render(Block& b, std::ostream& out) {
+  try {
+    b.code = b.render(b.outcomes, out);
+  } catch (const std::exception& ex) {
+    b.error = ex.what();
+  }
+}
+
 void ExperimentRun::land(std::size_t k, CellOutcome outcome) {
   Block& b = blocks_[owner_[k]];
   b.outcomes[k - b.first] = std::move(outcome);
-  --b.pending;
+  if (--b.pending == 0 && queue_ != nullptr) post_render(b);
   print_ready();
 }
 
-void ExperimentRun::print_ready() {
+void ExperimentRun::finish() {
+  print_ready(/*wait=*/true);
+  std::unique_lock lock(render_mu_);
+  rendered_cv_.wait(lock, [this] { return rendering_ == 0; });
+}
+
+void ExperimentRun::print_ready(bool wait) {
   for (; next_ < blocks_.size() && blocks_[next_].pending == 0; ++next_) {
-    if (ctx_.cancel != nullptr && ctx_.cancel->cancelled()) return;
+    Block& b = blocks_[next_];
+    if (queue_ != nullptr) {
+      std::unique_lock lock(render_mu_);
+      if (!b.rendered && !wait) return;
+      rendered_cv_.wait(lock, [&b] { return b.rendered; });
+    }
+    if (cancelled()) return;
     const Experiment& e = *experiments_[next_];
     if (next_ > 0) header(e);
-    Block& b = blocks_[next_];
-    if (ctx_.on_cell_failure)
-      for (const CellOutcome& o : b.outcomes)
-        if (!o.result) ctx_.on_cell_failure(e.id, o.failure);
-    int rc = EXIT_FAILURE;
-    try {
-      rc = b.render(b.outcomes, out_);
-    } catch (const std::exception& ex) {
-      std::cerr << e.id << " failed: " << ex.what() << "\n";
+    if (queue_ != nullptr) {
+      for (const CellFailure& f : b.failures) ctx_.on_cell_failure(e.id, f);
+      out_ << b.text;
+    } else {
+      if (ctx_.on_cell_failure)
+        for (const CellOutcome& o : b.outcomes)
+          if (!o.result) ctx_.on_cell_failure(e.id, o.failure);
+      render(b, out_);
     }
+    if (b.error) std::cerr << e.id << " failed: " << *b.error << "\n";
     out_ << std::flush;
-    codes_.push_back(rc);
+    codes_.push_back(b.code);
     b = Block{};  // the block is out: release its plan and results
   }
 }
@@ -154,10 +210,20 @@ std::vector<int> run_experiments(
   if (experiments.empty()) return {};
   ExperimentRun run(experiments, ctx, out);
   if (cells != nullptr) *cells = run.cell_count();
+  SweepOptions opts = sweep_options(ctx);
+  // Under --jobs the cells' workers also render the blocks, so this thread
+  // only plans, files outcomes and prints. Declared after the run, the
+  // queue goes first, running any render still posted.
+  std::optional<CellQueue> queue;
+  if (opts.jobs > 1) {
+    opts.queue = &queue.emplace(opts.jobs);
+    run.render_on(*opts.queue);
+  }
   run_sweep(
-      run.take_cells(), sweep_options(ctx),
+      run.take_cells(), opts,
       [&run](std::size_t k, CellOutcome o) { run.land(k, std::move(o)); },
       ctx.log);
+  run.finish();
   return run.codes();
 }
 

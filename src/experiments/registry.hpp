@@ -11,8 +11,12 @@
 // (docs/SWEEP_RUNNER.md, docs/SWEEP_SERVICE.md).
 #pragma once
 
+#include <condition_variable>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -87,10 +91,12 @@ const Experiment* find_experiment(const std::string& id);
 /// Experiments planned as one list of cells, whose blocks — "== id:
 /// title ==" plus the render — print in the given order as the cells'
 /// outcomes land: a block prints once it and every block before it are
-/// complete, and its plan and results are released then. Once
-/// ctx.cancel fires no further block prints. run_experiments feeds it
-/// from run_sweep; the daemon serves a request's store hits at admission
-/// (take_misses) and feeds it the rest from its shared queue.
+/// complete, and its plan and results are released then. A block renders
+/// on the thread that prints it, or under render_on on a queue worker as
+/// soon as its own cells are in. Once ctx.cancel fires no render starts
+/// and no further block prints. run_experiments feeds it from run_sweep;
+/// the daemon serves a request's store hits at admission (take_misses)
+/// and feeds it the rest from its shared queue.
 class ExperimentRun {
  public:
   /// Prints the first experiment's header (before anything is planned:
@@ -112,8 +118,20 @@ class ExperimentRun {
   std::vector<SweepCellSpec> take_misses(StoreView& view,
                                          std::vector<std::size_t>& index);
 
-  /// Files cell k's outcome and prints every block now complete.
+  /// Renders each block on `queue`'s workers (CellQueue::post) once its
+  /// last cell lands, into a buffer that land() and finish() print in
+  /// block order; on_cell_failure still fires as each block prints. Call
+  /// once, before the first land().
+  void render_on(CellQueue& queue);
+
+  /// Files cell k's outcome and prints every block now complete (and,
+  /// under render_on, rendered).
   void land(std::size_t k, CellOutcome outcome);
+
+  /// Once every cell has landed: waits for the renders still running and
+  /// prints the blocks left, stopping once ctx.cancel fires. Under
+  /// render_on, call it before the run is destroyed.
+  void finish();
 
   /// The experiments, in block order.
   const std::vector<const Experiment*>& experiments() const {
@@ -131,10 +149,21 @@ class ExperimentRun {
     std::vector<CellOutcome> outcomes;
     std::size_t first = 0;    // index of the block's first cell
     std::size_t pending = 0;  // cells not landed yet
+    int code = EXIT_FAILURE;            // the render's exit code
+    std::optional<std::string> error;   // what() of a render that threw
+    // Under render_on, what the worker leaves for the printer:
+    std::vector<CellFailure> failures;  // for on_cell_failure
+    std::string text;                   // the block under its header
+    bool rendered = false;              // guarded by render_mu_
   };
 
+  bool cancelled() const;
   void header(const Experiment& e);
-  void print_ready();
+  /// Runs b's render into `out`, noting its code or the error it threw.
+  static void render(Block& b, std::ostream& out);
+  void post_render(Block& b);
+  /// Prints the blocks ready in order; `wait` blocks on renders running.
+  void print_ready(bool wait = false);
 
   std::vector<const Experiment*> experiments_;
   const ExperimentContext& ctx_;
@@ -144,6 +173,10 @@ class ExperimentRun {
   std::vector<std::size_t> owner_;  // cell -> block
   std::size_t next_ = 0;            // first block not printed
   std::vector<int> codes_;
+  CellQueue* queue_ = nullptr;      // where blocks render, if not here
+  std::mutex render_mu_;
+  std::condition_variable rendered_cv_;
+  std::size_t rendering_ = 0;  // posted renders not done; under render_mu_
 };
 
 /// The queue options of a run under `ctx`: --jobs, the cell and sweep
@@ -151,10 +184,11 @@ class ExperimentRun {
 SweepOptions sweep_options(const ExperimentContext& ctx);
 
 /// Runs `experiments` as one queue (an ExperimentRun fed by run_sweep):
-/// every cell on the one --jobs pool, costliest first (--jobs=1 runs them
-/// in the caller in registry and declaration order), each block printed
-/// in the given order as soon as it and every block before it are
-/// complete. Returns one exit code per printed block; fewer than
+/// every cell on the one --jobs pool, costliest first, and each block's
+/// render on the same workers once its cells are in (--jobs=1 runs cells
+/// and renders in the caller, in registry and declaration order), each
+/// block printed in the given order as soon as it and every block before
+/// it are complete. Returns one exit code per printed block; fewer than
 /// experiments.size() only when ctx.cancel fired. `cells`, when given,
 /// receives the number of cells planned.
 std::vector<int> run_experiments(

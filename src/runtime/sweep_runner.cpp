@@ -343,6 +343,9 @@ void notify_sink(std::mutex& mu, F&& f) noexcept {
   f();
 }
 
+/// Runs a posted task; one that throws ends the program, like a sink.
+void run_task(const std::function<void()>& task) noexcept { task(); }
+
 }  // namespace
 
 std::vector<std::vector<std::size_t>> link_cells(
@@ -443,6 +446,12 @@ void CellQueue::submit(std::vector<SweepCellSpec> cells,
   }
 }
 
+void CellQueue::post(std::function<void()> task) {
+  std::scoped_lock lock(mu_);
+  tasks_.push_back(std::move(task));
+  work_cv_.notify_one();
+}
+
 void CellQueue::take_cancelled(std::vector<Ready>& doomed) {
   const bool any = std::any_of(
       batches_.begin(), batches_.end(), [](const std::shared_ptr<Batch>& b) {
@@ -469,6 +478,15 @@ void CellQueue::worker_loop() {
     if (!doomed.empty()) {
       lock.unlock();
       for (const Ready& r : doomed) run_cell(r);
+      lock.lock();
+      continue;
+    }
+    if (!tasks_.empty()) {
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop_front();
+      lock.unlock();
+      run_task(task);
+      task = nullptr;  // its captures go outside the lock
       lock.lock();
       continue;
     }

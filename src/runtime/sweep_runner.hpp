@@ -27,8 +27,10 @@
 // its cells, options, parent token and outcome sink — and all batches
 // run on the one worker pool: the earliest batch's costliest ready cell
 // first, a later batch's cells on the workers the earlier ones leave
-// idle. run_sweep() is one batch, waited for. The store is the only
-// checkpoint: a killed run resumes by rerunning over the same store.
+// idle. run_sweep() is one batch, waited for. Submitters may also post
+// plain tasks (a run's block renders), which workers take before cells.
+// The store is the only checkpoint: a killed run resumes by rerunning
+// over the same store.
 //
 // Determinism: each cell builds its own scheduler and a reset simulator,
 // so its SimResult depends only on (machine, program, scheduler, P, seed)
@@ -39,6 +41,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -148,7 +151,8 @@ struct BatchSink {
 /// finish about when all of them do. A cell becomes ready once the cell
 /// it runs after has landed. A batch whose token fires has its queued cells
 /// failed as "cancelled" without running, while the other batches' cells
-/// run on.
+/// run on. Plain tasks (post) wait in a FIFO lane that workers take
+/// before any cell.
 class CellQueue {
  public:
   explicit CellQueue(int workers);
@@ -167,6 +171,12 @@ class CellQueue {
   /// never heard from.
   void submit(std::vector<SweepCellSpec> cells, const SweepOptions& opts,
               BatchSink sink, std::ostream* log = nullptr);
+
+  /// Runs `task` on the next free worker, ahead of every queued cell, and
+  /// returns at once. Tasks start in posting order; one posted before the
+  /// queue is destroyed still runs. A task must not throw (one that does
+  /// ends the program).
+  void post(std::function<void()> task);
 
  private:
   struct Batch;
@@ -188,9 +198,10 @@ class CellQueue {
   void run_cell(const Ready& r);
 
   std::mutex mu_;
-  std::condition_variable work_cv_;  // a cell became ready, or stop_
+  std::condition_variable work_cv_;  // a cell or task became ready, or stop_
   std::condition_variable idle_cv_;  // a batch fully landed
   std::vector<Ready> ready_;         // max-heap by Ready::operator<
+  std::deque<std::function<void()>> tasks_;  // posted, not started
   std::vector<std::shared_ptr<Batch>> batches_;  // submitted, not landed
   std::uint64_t next_batch_ = 0;
   bool stop_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -15,6 +16,12 @@ using Clock = std::chrono::steady_clock;
 
 inline double dsec(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// True for an integer in [0, 2^53): every such value is a double, so
+/// adding two of them is exact whenever the sum is one too.
+bool exact_integer(double x) {
+  return x >= 0.0 && x < 0x1p53 && std::floor(x) == x;
 }
 
 }  // namespace
@@ -33,8 +40,19 @@ double MachineSim::ideal_serial_time(const LoopProgram& program) const {
   double total = 0.0;
   for (int e = 0; e < program.epochs; ++e) {
     for (const ParallelLoopSpec& spec : program.epoch_loops(e)) {
+      const double w = spec.uniform_work;
       if (spec.work_sum && !spec.footprint) {
         total += spec.work_sum(0, spec.n);
+      } else if (w > 0.0) {
+        // n equal terms added one at a time. When the term, the running
+        // total and the final sum are integers below 2^53, so is every
+        // partial sum: each addition is exact, and one multiply matches.
+        const double sum = total + static_cast<double>(spec.n) * w;
+        if (spec.n > 0 && exact_integer(w) && exact_integer(total) &&
+            exact_integer(sum))
+          total = sum;
+        else
+          for (std::int64_t i = 0; i < spec.n; ++i) total += w;
       } else {
         for (std::int64_t i = 0; i < spec.n; ++i) total += spec.work(i);
       }

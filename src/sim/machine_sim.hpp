@@ -134,7 +134,8 @@ class MachineSim {
 
   /// Serial-baseline time: the program's total work executed on one
   /// processor with no scheduling or communication overhead. Used to
-  /// report speedups.
+  /// report speedups. Equal to summing every iteration's work in order;
+  /// a uniform-work loop whose sum is exact costs one multiply.
   double ideal_serial_time(const LoopProgram& program) const;
 
   const MachineConfig& config() const { return config_; }

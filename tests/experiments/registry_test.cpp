@@ -1,18 +1,24 @@
 // The experiment registry: every paper reproduction keyed by id, the
 // cached-cell helper the bespoke tables run through, and one queue for a
-// run of several experiments (blocks in registry order, repeated keys
-// served from the store, stored cells served at admission, a failing
-// table reported rather than fatal).
+// run of several experiments (blocks in registry order whichever thread
+// renders them, repeated keys served from the store, stored cells served
+// at admission, a failing table or plan reported rather than fatal, no
+// render once the caller's token fired).
 // End-to-end coverage of a whole pass lives in CI's sweep-service job and
 // the perf/ smoke test; these tests pin the registry contract itself.
 #include "experiments/registry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "kernels/synthetic.hpp"
 #include "machines/machines.hpp"
@@ -112,6 +118,19 @@ TEST(Registry, RunCellCachedKeysEngineToggles) {
   EXPECT_EQ(store.hits(), 0);
 }
 
+/// The bytes of <dir>/<id>.csv for each id, concatenated.
+std::string read_csvs(const std::string& dir,
+                      const std::vector<std::string>& ids) {
+  std::string csvs;
+  for (const std::string& id : ids) {
+    std::ifstream in(dir + "/" + id + ".csv");
+    std::stringstream text;
+    text << in.rdbuf();
+    csvs += text.str();
+  }
+  return csvs;
+}
+
 /// The "== " header lines of a run's output, in order.
 std::vector<std::string> headers_of(const std::string& text) {
   std::vector<std::string> out;
@@ -183,13 +202,7 @@ TEST(RunQueue, AdmissionServesStoredCellsAndQueuesOnlyMisses) {
     EXPECT_EQ(view.hits(), warm ? 89 : 25);
     EXPECT_EQ(view.misses(), warm ? 0 : 64);
     EXPECT_EQ(view.writes(), warm ? 0 : 64);
-    std::string csvs;
-    for (const char* id : {"fig07", "tab5"}) {
-      std::ifstream in(dir + "/" + id + ".csv");
-      std::stringstream text;
-      text << in.rdbuf();
-      csvs += text.str();
-    }
+    const std::string csvs = read_csvs(dir, {"fig07", "tab5"});
     EXPECT_FALSE(csvs.empty());
     if (warm)
       EXPECT_EQ(csvs, cold_csvs);
@@ -226,10 +239,140 @@ TEST(RunQueue, BlocksPrintInRegistryOrder) {
   EXPECT_LT(text.find(headers[1]), text.find("AFS remote/queue"));
 }
 
+TEST(RunQueue, OutputDoesNotDependOnJobs) {
+  // --jobs=1 runs cells and renders in the caller; --jobs=4 runs both on
+  // the run's workers. Over one out-dir and one store — a parallel pass
+  // that simulates, then a serial and a parallel replay — every pass
+  // prints the same bytes, writes the same CSVs and returns the same codes.
+  const std::vector<std::string> ids{"fig03", "fig07", "tab5"};
+  std::vector<const Experiment*> selected;
+  for (const std::string& id : ids) selected.push_back(find_experiment(id));
+  const std::string dir = fresh_dir("run_queue_jobs");
+  ResultStore store(dir + "/.store");
+  std::string first_out, first_csvs;
+  for (const int jobs : {4, 1, 4}) {
+    ExperimentContext ctx;
+    ctx.cli.out_dir = dir;
+    ctx.cli.jobs = jobs;
+    ctx.store = &store;
+    std::ostringstream out;
+    EXPECT_EQ(run_experiments(selected, ctx, out),
+              (std::vector<int>{0, 0, 0}))
+        << "jobs=" << jobs;
+    const std::string csvs = read_csvs(dir, ids);
+    if (first_out.empty()) {
+      first_out = out.str();
+      first_csvs = csvs;
+      EXPECT_EQ(headers_of(first_out).size(), ids.size()) << first_out;
+      continue;
+    }
+    EXPECT_EQ(out.str(), first_out) << "jobs=" << jobs;
+    EXPECT_EQ(csvs, first_csvs) << "jobs=" << jobs;
+  }
+  EXPECT_EQ(store.misses(), store.writes());
+  EXPECT_GT(store.hits(), store.misses());  // the replays were served
+}
+
+TEST(RunQueue, FailedPlanReportsInBlockOrder) {
+  // A plan that throws leaves a block without cells whose render reports
+  // the error. With stderr in the run's own stream, its "failed" line
+  // comes right after its header and before the next block, and its
+  // EXIT_FAILURE sits in its own slot, whichever thread rendered it.
+  Experiment broken;
+  broken.id = "broken_plan";
+  broken.title = "A plan that throws";
+  broken.kind = ExperimentKind::kTable;
+  broken.csv_ids = {"broken_plan"};
+  broken.plan = [](const ExperimentContext&) -> ExperimentPlan {
+    throw std::runtime_error("no plan today");
+  };
+  const std::vector<const Experiment*> selected{
+      find_experiment("fig10"), &broken, find_experiment("fig03")};
+  const std::string dir = fresh_dir("run_queue_failed_plan");
+  for (const int jobs : {1, 4}) {
+    ExperimentContext ctx;
+    ctx.cli.out_dir = dir;
+    ctx.cli.jobs = jobs;
+    std::ostringstream out;
+    std::streambuf* const saved = std::cerr.rdbuf(out.rdbuf());
+    const std::vector<int> codes = run_experiments(selected, ctx, out);
+    std::cerr.rdbuf(saved);
+    EXPECT_EQ(codes, (std::vector<int>{0, EXIT_FAILURE, 0})) << "jobs=" << jobs;
+    const std::string text = out.str();
+    const std::size_t at[] = {
+        text.find("== fig10: "),
+        text.find("== broken_plan: A plan that throws ==\n"),
+        text.find("\nbroken_plan failed: no plan today\n"),
+        text.find("== fig03: ")};
+    for (std::size_t i = 0; i < 4; ++i)
+      ASSERT_NE(at[i], std::string::npos) << "jobs=" << jobs << "\n" << text;
+    EXPECT_TRUE(std::is_sorted(std::begin(at), std::end(at)))
+        << "jobs=" << jobs << "\n" << text;
+  }
+}
+
+/// An experiment of one cell whose render counts itself.
+Experiment probe_experiment(const std::string& id,
+                            std::function<SimResult(const CancelToken&)> cell,
+                            std::atomic<int>& renders) {
+  Experiment e;
+  e.id = id;
+  e.title = "probe";
+  e.kind = ExperimentKind::kTable;
+  e.csv_ids = {id};
+  e.plan = [cell = std::move(cell), &renders](const ExperimentContext&) {
+    ExperimentPlan plan;
+    plan.cells.push_back({"CELL", 1, cell});
+    plan.render = [&renders](std::vector<CellOutcome>&, std::ostream& out) {
+      ++renders;
+      out << "rendered\n";
+      return 0;
+    };
+    return plan;
+  };
+  return e;
+}
+
+TEST(RunQueue, NoRenderStartsOnceTheTokenFired) {
+  // The first experiment's cell fires the caller's token; the second's
+  // holds its worker until the token has fired (serially it never
+  // starts). Both blocks complete after the token fired, so neither
+  // render may start and nothing prints after the first header.
+  for (const int jobs : {1, 4}) {
+    CancelToken token;
+    std::atomic<int> renders{0};
+    const Experiment fires = probe_experiment(
+        "fires",
+        [&token](const CancelToken&) {
+          token.cancel();
+          return SimResult{};
+        },
+        renders);
+    const Experiment holds = probe_experiment(
+        "holds",
+        [](const CancelToken& t) {
+          while (!t.cancelled()) {
+          }
+          return SimResult{};
+        },
+        renders);
+    ExperimentContext ctx;
+    ctx.cli.out_dir = fresh_dir("run_queue_cancel");
+    ctx.cli.jobs = jobs;
+    ctx.cancel = &token;
+    std::ostringstream out;
+    EXPECT_TRUE(run_experiments({&fires, &holds}, ctx, out).empty())
+        << "jobs=" << jobs;
+    EXPECT_EQ(renders.load(), 0) << "jobs=" << jobs;
+    EXPECT_EQ(out.str(), "== fires: probe ==\n") << "jobs=" << jobs;
+  }
+}
+
 TEST(RunQueue, FailingTableCellReportsInsteadOfCrashing) {
   // One table cell breaks an invariant: its table prints a failure
   // report, writes <id>.failures.json and exits 1; the next experiment
-  // on the queue is unaffected.
+  // on the queue is unaffected. on_cell_failure reports the cell as its
+  // block prints, between its header and the next block's.
   const Experiment broken = table_experiment(
       "broken_table", "A table with a failing cell", {"broken_table"},
       [](const ExperimentContext& ctx) {
@@ -253,12 +396,22 @@ TEST(RunQueue, FailingTableCellReportsInsteadOfCrashing) {
     ctx.cli.out_dir = dir;
     ctx.cli.jobs = jobs;
     std::ostringstream out;
+    ctx.on_cell_failure = [&out](const std::string& id, const CellFailure& f) {
+      out << "cell_error " << id << " " << f.label << " " << f.kind << "\n";
+    };
     const std::vector<int> codes =
         run_experiments({&broken, find_experiment("fig10")}, ctx, out);
     EXPECT_EQ(codes, (std::vector<int>{1, 0})) << "jobs=" << jobs;
-    EXPECT_EQ(out.str().find("rendered"), std::string::npos);
-    EXPECT_NE(out.str().find("1 of 2 cells failed"), std::string::npos)
-        << out.str();
+    const std::string printed = out.str();
+    EXPECT_EQ(printed.find("rendered"), std::string::npos);
+    EXPECT_NE(printed.find("1 of 2 cells failed"), std::string::npos)
+        << printed;
+    const std::size_t notice =
+        printed.find("cell_error broken_table BROKEN invariant\n");
+    ASSERT_NE(notice, std::string::npos) << printed;
+    EXPECT_EQ(printed.find("cell_error", notice + 1), std::string::npos);
+    EXPECT_LT(printed.find("== broken_table: "), notice);
+    EXPECT_LT(notice, printed.find("== fig10: "));
     std::ifstream report(dir + "/broken_table.failures.json");
     std::stringstream text;
     text << report.rdbuf();

@@ -500,6 +500,33 @@ TEST(SweepRunner, CostliestReadyCellStartsFirst) {
   EXPECT_EQ(serial.order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
+TEST(SweepRunner, PostedTaskRunsBeforeQueuedCells) {
+  // One worker: a task posted while a cell runs starts next, ahead of the
+  // cells still queued, and one posted just before the queue is destroyed
+  // still runs.
+  std::vector<std::string> order;
+  std::atomic<bool> last_ran{false};
+  {
+    CellQueue queue(1);
+    SweepOptions opts;
+    opts.queue = &queue;
+    std::vector<SweepCellSpec> cells = synthetic_cells({"A", "B", "C"}, {1});
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      cells[k].cost = 3.0 - static_cast<double>(k);  // A, B, C in turn
+      cells[k].run = [&, k, label = cells[k].label,
+                      run = cells[k].run](const CancelToken& t) {
+        order.push_back(label);
+        if (k == 0) queue.post([&order] { order.push_back("task"); });
+        return run(t);
+      };
+    }
+    EXPECT_TRUE(run_queue(cells, opts).complete());
+    queue.post([&last_ran] { last_ran = true; });
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"A", "task", "B", "C"}));
+  EXPECT_TRUE(last_ran);
+}
+
 TEST(SweepRunner, RepeatedKeyRunsAfterItsFirstInstance) {
   // Each repeated key's later instances may start only once the first
   // instance has finished (published, in a store-backed cell) — even when

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "experiments/grid.hpp"
+#include "experiments/registry.hpp"
+#include "kernels/gauss.hpp"
 #include "kernels/synthetic.hpp"
 #include "machines/machines.hpp"
 #include "sched/registry.hpp"
@@ -43,6 +46,51 @@ TEST(MachineSim, IdealSerialTimeMatchesWorkSum) {
   MachineSim sim(ideal_machine());
   EXPECT_DOUBLE_EQ(sim.ideal_serial_time(balanced_program(100, 3.0)), 300.0);
   EXPECT_DOUBLE_EQ(sim.ideal_serial_time(triangular_program(100)), 5050.0);
+}
+
+/// The serial time the long way: every iteration's work added in order,
+/// through the loop's own work function.
+double serial_time_by_iteration(const MachineConfig& m,
+                                const LoopProgram& program) {
+  double total = 0.0;
+  for (int e = 0; e < program.epochs; ++e) {
+    for (const ParallelLoopSpec& spec : program.epoch_loops(e)) {
+      if (spec.work_sum && !spec.footprint) {
+        total += spec.work_sum(0, spec.n);
+      } else {
+        for (std::int64_t i = 0; i < spec.n; ++i) total += spec.work(i);
+      }
+    }
+  }
+  return total * m.work_unit_time;
+}
+
+TEST(MachineSim, IdealSerialTimeClosedFormIsExact) {
+  // A uniform-work loop is summed in one multiply when that is exact.
+  // Every speedup column divides by this time, so it must equal the
+  // per-iteration sum bit for bit: on every registered figure, on tab6's
+  // Gauss N=4096, and on grid kernels whose fractional WORK takes the
+  // per-iteration fallback.
+  const auto check = [](const MachineConfig& m, const LoopProgram& p,
+                        const std::string& what) {
+    EXPECT_EQ(MachineSim(m).ideal_serial_time(p),
+              serial_time_by_iteration(m, p))
+        << what;
+  };
+  int figures = 0;
+  for (const Experiment& e : all_experiments()) {
+    if (!e.make_spec) continue;
+    const FigureSpec spec = e.make_spec();
+    check(spec.machine, spec.program, e.id);
+    ++figures;
+  }
+  EXPECT_GE(figures, 15);
+  check(ksr1(), GaussKernel::program(4096), "tab6");
+  for (const char* kernel :
+       {"gauss:300", "gauss:300,0.3", "gauss:257,3", "gauss:100,0.1",
+        "sor:200,4", "sor:200,4,1.5", "sor:64,3,0.1", "adjoint:64,0.7",
+        "balanced:1000,0.1", "triangular:500"})
+    check(iris(), parse_kernel_spec(kernel), kernel);
 }
 
 TEST(MachineSim, DeterministicAcrossRuns) {

@@ -5,9 +5,11 @@
 #   bash tools/perf_compare.sh PARENT_TREE CHANGE_TREE [OUT_DIR]
 #
 # Builds perf/ (Release, into <tree>/build-perf) in both source trees,
-# then runs `afs_perf run` of warm_all and of cold_all for 15 s in 5
-# pairs, each pair running both trees with the first tree alternating, so
-# host drift lands on both alike. The runs are recorded in
+# then runs `afs_perf run` of warm_all for 15 s and of cold_all for 30 s
+# in 5 pairs each, each pair running both trees with the first tree
+# alternating, so host drift lands on both alike. A cold pass takes about
+# 5 s, so a 15 s run held only two or three passes and its spread sat at
+# the 0.25 bound; 30 s holds five or six. The runs are recorded in
 # OUT_DIR/parent.json and OUT_DIR/change.json (default OUT_DIR:
 # CHANGE_TREE/build-perf/compare) and compared with `afs_perf compare`.
 #
@@ -26,7 +28,7 @@ parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 out=${3:-$change/build-perf/compare}
 pairs=5
-seconds=15
+declare -A seconds=([warm_all]=15 [cold_all]=30)
 
 generator=()
 if command -v ninja > /dev/null; then generator=(-G Ninja); fi
@@ -50,7 +52,8 @@ for workload in warm_all cold_all; do
       if [[ $side == change ]]; then tree=$change; fi
       echo "== $workload pair $i: $side"
       "$tree/build-perf/afs_perf" run --workload="$workload" --seed="$i" \
-        --seconds="$seconds" --record="$out/$side.json" | sed '$d'
+        --seconds="${seconds[$workload]}" --record="$out/$side.json" \
+        | sed '$d'
     done
   done
 done
