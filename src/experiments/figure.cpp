@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <iostream>
 #include <memory>
 #include <sstream>
 
@@ -259,7 +260,8 @@ ExperimentPlan plan_figure(
   }
 
   plan.render = [spec, shapes = std::move(shapes), keep](
-                    std::vector<CellOutcome>& outcomes, std::ostream& out) {
+                    std::vector<CellOutcome>& outcomes, std::ostream& out,
+                    std::ostream&) {
     out << "machine: " << spec->machine.name
         << ", program: " << spec->program.name << "\n";
     if (spec->trace)
@@ -337,7 +339,7 @@ FigureResult run_figure(const FigureSpec& spec, std::ostream& out,
             [&outcomes](std::size_t k, CellOutcome o) {
               outcomes[k] = std::move(o);
             });
-  plan.render(outcomes, out);
+  plan.render(outcomes, out, std::cerr);
   return result;
 }
 

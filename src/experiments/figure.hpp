@@ -108,11 +108,14 @@ struct FigureResult {
 
 /// One experiment split for the run queue: its cells, and a render step
 /// that writes its block (everything under its "== id: title ==" header)
-/// — tables, CSVs, shape checks — from the cells' outcomes, indexed like
-/// `cells`, and returns the experiment's exit code.
+/// — tables, CSVs, shape checks — to `out` from the cells' outcomes,
+/// indexed like `cells`, writes any diagnostics meant for stderr to `err`,
+/// and returns the experiment's exit code.
+using RenderFn = std::function<int(std::vector<CellOutcome>&,
+                                   std::ostream& out, std::ostream& err)>;
 struct ExperimentPlan {
   std::vector<SweepCellSpec> cells;
-  std::function<int(std::vector<CellOutcome>&, std::ostream&)> render;
+  RenderFn render;
 };
 
 /// Plans `spec` as one cell per (scheduler, P), in declaration order.

@@ -66,7 +66,8 @@ ExperimentPlan plan_ablation(const ExperimentContext& ctx) {
 
   plan.render = [cli = ctx.cli, names = std::vector<std::string>{
                                     tc.program->name, drift.program->name}](
-                    std::vector<CellOutcome>& cells, std::ostream& out) {
+                    std::vector<CellOutcome>& cells, std::ostream& out,
+                    std::ostream&) {
     std::size_t next = 0;
     const auto result = [&]() -> const SimResult& {
       return *cells[next++].result;
@@ -181,7 +182,8 @@ ExperimentPlan plan_trend(const ExperimentContext& ctx) {
           table_cell(ctx, m.name + " " + spec, m, prog, spec, 8));
 
   plan.render = [csv = bench::csv_path(ctx.cli, "trend"), machines](
-                    std::vector<CellOutcome>& cells, std::ostream& out) {
+                    std::vector<CellOutcome>& cells, std::ostream& out,
+                    std::ostream&) {
     Table t({"machine", "comm/compute", "AFS", "GSS", "GSS/AFS"});
     double prev_adv = 0.0;
     bool monotone = true;

@@ -130,7 +130,7 @@ ExperimentPlan plan_frontier(const ExperimentContext& ctx) {
         plan.cells.push_back(analyzed_cell(ctx, machine, k, spec, p));
 
   plan.render = [cli, specs, procs, labels](std::vector<CellOutcome>& cells,
-                                            std::ostream& out) {
+                                            std::ostream& out, std::ostream&) {
     if (cli.trace)
       out << "(traces per cell under " << cli.out_dir
           << "/frontier_tradeoff.p<P>.<kernel>.<scheduler>.cctrace)\n";

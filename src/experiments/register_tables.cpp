@@ -6,7 +6,7 @@
 // the cells in the order it planned them.
 #include <algorithm>
 #include <cmath>
-#include <iostream>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,7 +58,8 @@ ExperimentPlan plan_tab2(const ExperimentContext& ctx) {
     }
   }
   plan.render = [csv = bench::csv_path(ctx.cli, "tab2"), n, p, delays,
-                 specs](std::vector<CellOutcome>& cells, std::ostream& out) {
+                 specs](std::vector<CellOutcome>& cells, std::ostream& out,
+                        std::ostream&) {
     Table table({"delay", "GSS", "TRAPEZOID", "FACTORING", "AFS(k=2)",
                  "AFS(k=P)"});
     bool all_close = true;
@@ -126,7 +127,8 @@ std::function<ExperimentPlan(const ExperimentContext&)> plan_sync_ops(
         plan.cells.push_back(
             table_cell(ctx, spec, machine, program, spec, p));
     plan.render = [csv = bench::csv_path(ctx.cli, id), procs, specs](
-                      std::vector<CellOutcome>& cells, std::ostream& out) {
+                      std::vector<CellOutcome>& cells, std::ostream& out,
+                      std::ostream&) {
       Table table({"P", "SS", "GSS", "FACTORING", "TRAPEZOID",
                    "AFS remote/queue", "AFS local/queue"});
       std::size_t next = 0;
@@ -166,7 +168,8 @@ ExperimentPlan plan_tab6(const ExperimentContext& ctx) {
     plan.cells.push_back(table_cell(ctx, spec, machine, program, spec, 16));
   plan.render = [csv = bench::csv_path(ctx.cli, "tab6"), machine,
                  program = program.program,
-                 specs](std::vector<CellOutcome>& cells, std::ostream& out) {
+                 specs](std::vector<CellOutcome>& cells, std::ostream& out,
+                        std::ostream&) {
     const double serial = MachineSim(machine).ideal_serial_time(*program);
     Table table({"scheduler", "completion time", "vs AFS", "speedup"});
     const double afs_time = cells.front().result->makespan;
@@ -329,7 +332,8 @@ ExperimentPlan plan_tab7(const ExperimentContext& ctx) {
                      bench::csv_path(ctx.cli, "tab7"),
                      bench::csv_path(ctx.cli, "tab7_adaptive")},
                  machines, lineups,
-                 levels](std::vector<CellOutcome>& cells, std::ostream& out) {
+                 levels](std::vector<CellOutcome>& cells, std::ostream& out,
+                         std::ostream& err) {
     bool conservation_ok = true;
     bool batching_ok = true;
     bool afs_loss_ok = false;
@@ -347,14 +351,14 @@ ExperimentPlan plan_tab7(const ExperimentContext& ctx) {
 
             if (!check_time_identity(r, mc.procs)) {
               conservation_ok = false;
-              std::cerr << "conservation violated: " << mc.config.name << " "
+              err << "conservation violated: " << mc.config.name << " "
                         << spec << " " << level
                         << " accounted=" << accounted_time(r)
                         << " expected=" << mc.procs * r.makespan << "\n";
             }
             if (level != "none" && !identical(r, *cells[next++].result)) {
               batching_ok = false;
-              std::cerr << "batching divergence: " << mc.config.name << " "
+              err << "batching divergence: " << mc.config.name << " "
                         << spec << " " << level << "\n";
             }
             if (level == "proc-loss" && spec == "AFS" &&

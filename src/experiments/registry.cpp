@@ -46,7 +46,8 @@ ExperimentRun::ExperimentRun(std::vector<const Experiment*> experiments,
     } catch (const std::exception& ex) {
       // Reported in registry order, like any other failed render.
       plan.render = [what = std::string(ex.what())](
-                        std::vector<CellOutcome>&, std::ostream&) -> int {
+                        std::vector<CellOutcome>&, std::ostream&,
+                        std::ostream&) -> int {
         throw std::runtime_error(what);
       };
     }
@@ -131,7 +132,8 @@ void ExperimentRun::post_render(Block& b) {
     ++rendering_;
   }
   queue_->post([this, &b] {
-    if (!cancelled()) {
+    b.ran = !cancelled();
+    if (b.ran) {
       std::ostringstream text;
       render(b, text);
       b.text = std::move(text).str();
@@ -146,11 +148,13 @@ void ExperimentRun::post_render(Block& b) {
 }
 
 void ExperimentRun::render(Block& b, std::ostream& out) {
+  std::ostringstream err;
   try {
-    b.code = b.render(b.outcomes, out);
+    b.code = b.render(b.outcomes, out, err);
   } catch (const std::exception& ex) {
     b.error = ex.what();
   }
+  b.err = std::move(err).str();
 }
 
 void ExperimentRun::land(std::size_t k, CellOutcome outcome) {
@@ -170,11 +174,15 @@ void ExperimentRun::print_ready(bool wait) {
   for (; next_ < blocks_.size() && blocks_[next_].pending == 0; ++next_) {
     Block& b = blocks_[next_];
     if (queue_ != nullptr) {
+      // A block whose render started before the token fired prints, as
+      // it would have under --jobs=1 (its CSVs are out already).
       std::unique_lock lock(render_mu_);
       if (!b.rendered && !wait) return;
       rendered_cv_.wait(lock, [&b] { return b.rendered; });
+      if (!b.ran) return;
+    } else if (cancelled()) {
+      return;
     }
-    if (cancelled()) return;
     const Experiment& e = *experiments_[next_];
     if (next_ > 0) header(e);
     if (queue_ != nullptr) {
@@ -186,6 +194,7 @@ void ExperimentRun::print_ready(bool wait) {
           if (!o.result) ctx_.on_cell_failure(e.id, o.failure);
       render(b, out_);
     }
+    std::cerr << b.err;
     if (b.error) std::cerr << e.id << " failed: " << *b.error << "\n";
     out_ << std::flush;
     codes_.push_back(b.code);
@@ -268,13 +277,14 @@ Experiment table_experiment(
     ExperimentPlan p = plan(ctx);
     p.render = [id, out_dir = ctx.cli.out_dir, render = std::move(p.render),
                 total = static_cast<int>(p.cells.size())](
-                   std::vector<CellOutcome>& outcomes, std::ostream& out) {
+                   std::vector<CellOutcome>& outcomes, std::ostream& out,
+                   std::ostream& err) {
       std::vector<CellFailure> failures;
       for (const CellOutcome& o : outcomes)
         if (!o.result) failures.push_back(o.failure);
       const std::string report =
           publish_failure_report(out_dir, id, total, failures);
-      if (failures.empty()) return render(outcomes, out);
+      if (failures.empty()) return render(outcomes, out, err);
       out << "(" << failures.size() << " of " << total
           << " cells failed — report: " << report << ")\n\n";
       return EXIT_FAILURE;

@@ -93,8 +93,9 @@ const Experiment* find_experiment(const std::string& id);
 /// outcomes land: a block prints once it and every block before it are
 /// complete, and its plan and results are released then. A block renders
 /// on the thread that prints it, or under render_on on a queue worker as
-/// soon as its own cells are in. Once ctx.cancel fires no render starts
-/// and no further block prints. run_experiments feeds it from run_sweep;
+/// soon as its own cells are in. Once ctx.cancel fires no render starts;
+/// the blocks whose render started before it still print, up to the
+/// first that did not render. run_experiments feeds it from run_sweep;
 /// the daemon serves a request's store hits at admission (take_misses)
 /// and feeds it the rest from its shared queue.
 class ExperimentRun {
@@ -119,9 +120,9 @@ class ExperimentRun {
                                          std::vector<std::size_t>& index);
 
   /// Renders each block on `queue`'s workers (CellQueue::post) once its
-  /// last cell lands, into a buffer that land() and finish() print in
-  /// block order; on_cell_failure still fires as each block prints. Call
-  /// once, before the first land().
+  /// last cell lands, into a buffer that the next land() or finish()
+  /// prints in block order; on_cell_failure still fires as each block
+  /// prints. Call once, before the first land().
   void render_on(CellQueue& queue);
 
   /// Files cell k's outcome and prints every block now complete (and,
@@ -129,8 +130,9 @@ class ExperimentRun {
   void land(std::size_t k, CellOutcome outcome);
 
   /// Once every cell has landed: waits for the renders still running and
-  /// prints the blocks left, stopping once ctx.cancel fires. Under
-  /// render_on, call it before the run is destroyed.
+  /// prints the blocks left, up to the first that did not render because
+  /// ctx.cancel fired. Under render_on, call it before the run is
+  /// destroyed.
   void finish();
 
   /// The experiments, in block order.
@@ -140,29 +142,34 @@ class ExperimentRun {
   /// How many cells the experiments planned.
   std::size_t cell_count() const { return owner_.size(); }
   /// One exit code per printed block; fewer than experiments().size()
-  /// until every block printed, or for good once ctx.cancel fired.
+  /// until every block printed, or for good once ctx.cancel stopped a
+  /// render.
   const std::vector<int>& codes() const { return codes_; }
 
  private:
   struct Block {
-    std::function<int(std::vector<CellOutcome>&, std::ostream&)> render;
+    RenderFn render;
     std::vector<CellOutcome> outcomes;
     std::size_t first = 0;    // index of the block's first cell
     std::size_t pending = 0;  // cells not landed yet
     int code = EXIT_FAILURE;            // the render's exit code
+    std::string err;                    // its diagnostics, for std::cerr
     std::optional<std::string> error;   // what() of a render that threw
     // Under render_on, what the worker leaves for the printer:
     std::vector<CellFailure> failures;  // for on_cell_failure
     std::string text;                   // the block under its header
-    bool rendered = false;              // guarded by render_mu_
+    bool ran = false;       // ctx.cancel had not fired when it started
+    bool rendered = false;  // the posted task is done; under render_mu_
   };
 
   bool cancelled() const;
   void header(const Experiment& e);
-  /// Runs b's render into `out`, noting its code or the error it threw.
+  /// Runs b's render into `out`, noting its code, its diagnostics and
+  /// the error it threw.
   static void render(Block& b, std::ostream& out);
   void post_render(Block& b);
-  /// Prints the blocks ready in order; `wait` blocks on renders running.
+  /// Prints the blocks ready in order, up to the first that did not
+  /// render; `wait` blocks on renders running.
   void print_ready(bool wait = false);
 
   std::vector<const Experiment*> experiments_;

@@ -41,18 +41,15 @@ double MachineSim::ideal_serial_time(const LoopProgram& program) const {
   for (int e = 0; e < program.epochs; ++e) {
     for (const ParallelLoopSpec& spec : program.epoch_loops(e)) {
       const double w = spec.uniform_work;
+      const double sum = total + static_cast<double>(spec.n) * w;
       if (spec.work_sum && !spec.footprint) {
         total += spec.work_sum(0, spec.n);
-      } else if (w > 0.0) {
+      } else if (w > 0.0 && exact_integer(w) && exact_integer(total) &&
+                 exact_integer(sum)) {
         // n equal terms added one at a time. When the term, the running
         // total and the final sum are integers below 2^53, so is every
         // partial sum: each addition is exact, and one multiply matches.
-        const double sum = total + static_cast<double>(spec.n) * w;
-        if (spec.n > 0 && exact_integer(w) && exact_integer(total) &&
-            exact_integer(sum))
-          total = sum;
-        else
-          for (std::int64_t i = 0; i < spec.n; ++i) total += w;
+        total = sum;
       } else {
         for (std::int64_t i = 0; i < spec.n; ++i) total += spec.work(i);
       }

@@ -19,6 +19,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "kernels/synthetic.hpp"
 #include "machines/machines.hpp"
@@ -273,10 +274,11 @@ TEST(RunQueue, OutputDoesNotDependOnJobs) {
   EXPECT_GT(store.hits(), store.misses());  // the replays were served
 }
 
-TEST(RunQueue, FailedPlanReportsInBlockOrder) {
+TEST(RunQueue, FailuresReportInBlockOrder) {
   // A plan that throws leaves a block without cells whose render reports
-  // the error. With stderr in the run's own stream, its "failed" line
-  // comes right after its header and before the next block, and its
+  // the error; a render may write diagnostics for stderr (tab7's
+  // invariant reports). With stderr in the run's own stream, each block's
+  // stderr comes right after its text and before the next block, and its
   // EXIT_FAILURE sits in its own slot, whichever thread rendered it.
   Experiment broken;
   broken.id = "broken_plan";
@@ -286,8 +288,25 @@ TEST(RunQueue, FailedPlanReportsInBlockOrder) {
   broken.plan = [](const ExperimentContext&) -> ExperimentPlan {
     throw std::runtime_error("no plan today");
   };
+  Experiment noisy;
+  noisy.id = "noisy";
+  noisy.title = "A render with diagnostics";
+  noisy.kind = ExperimentKind::kTable;
+  noisy.csv_ids = {"noisy"};
+  noisy.plan = [](const ExperimentContext&) {
+    ExperimentPlan plan;
+    plan.cells.push_back(
+        {"CELL", 1, [](const CancelToken&) { return SimResult{}; }});
+    plan.render = [](std::vector<CellOutcome>&, std::ostream& out,
+                     std::ostream& err) {
+      out << "rendered\n";
+      err << "invariant broke\n";
+      return EXIT_FAILURE;
+    };
+    return plan;
+  };
   const std::vector<const Experiment*> selected{
-      find_experiment("fig10"), &broken, find_experiment("fig03")};
+      find_experiment("fig10"), &broken, &noisy, find_experiment("fig03")};
   const std::string dir = fresh_dir("run_queue_failed_plan");
   for (const int jobs : {1, 4}) {
     ExperimentContext ctx;
@@ -297,14 +316,17 @@ TEST(RunQueue, FailedPlanReportsInBlockOrder) {
     std::streambuf* const saved = std::cerr.rdbuf(out.rdbuf());
     const std::vector<int> codes = run_experiments(selected, ctx, out);
     std::cerr.rdbuf(saved);
-    EXPECT_EQ(codes, (std::vector<int>{0, EXIT_FAILURE, 0})) << "jobs=" << jobs;
+    EXPECT_EQ(codes, (std::vector<int>{0, EXIT_FAILURE, EXIT_FAILURE, 0}))
+        << "jobs=" << jobs;
     const std::string text = out.str();
     const std::size_t at[] = {
         text.find("== fig10: "),
         text.find("== broken_plan: A plan that throws ==\n"),
         text.find("\nbroken_plan failed: no plan today\n"),
+        text.find("== noisy: A render with diagnostics ==\n"
+                  "rendered\ninvariant broke\n"),
         text.find("== fig03: ")};
-    for (std::size_t i = 0; i < 4; ++i)
+    for (std::size_t i = 0; i < std::size(at); ++i)
       ASSERT_NE(at[i], std::string::npos) << "jobs=" << jobs << "\n" << text;
     EXPECT_TRUE(std::is_sorted(std::begin(at), std::end(at)))
         << "jobs=" << jobs << "\n" << text;
@@ -323,7 +345,8 @@ Experiment probe_experiment(const std::string& id,
   e.plan = [cell = std::move(cell), &renders](const ExperimentContext&) {
     ExperimentPlan plan;
     plan.cells.push_back({"CELL", 1, cell});
-    plan.render = [&renders](std::vector<CellOutcome>&, std::ostream& out) {
+    plan.render = [&renders](std::vector<CellOutcome>&, std::ostream& out,
+                             std::ostream&) {
       ++renders;
       out << "rendered\n";
       return 0;
@@ -334,16 +357,22 @@ Experiment probe_experiment(const std::string& id,
 }
 
 TEST(RunQueue, NoRenderStartsOnceTheTokenFired) {
-  // The first experiment's cell fires the caller's token; the second's
+  // The first experiment renders before anything fires. The second's cell
+  // waits for that render, then fires the caller's token; the third's
   // holds its worker until the token has fired (serially it never
-  // starts). Both blocks complete after the token fired, so neither
-  // render may start and nothing prints after the first header.
+  // starts). The first block still prints: its render ran before the
+  // token fired, though under --jobs it may print only after. The other
+  // two blocks complete after the token fired, so neither render may
+  // start and nothing prints after the first block.
   for (const int jobs : {1, 4}) {
     CancelToken token;
     std::atomic<int> renders{0};
+    const Experiment done = probe_experiment(
+        "done", [](const CancelToken&) { return SimResult{}; }, renders);
     const Experiment fires = probe_experiment(
         "fires",
-        [&token](const CancelToken&) {
+        [&token, &renders](const CancelToken&) {
+          while (renders.load() == 0) std::this_thread::yield();
           token.cancel();
           return SimResult{};
         },
@@ -361,10 +390,11 @@ TEST(RunQueue, NoRenderStartsOnceTheTokenFired) {
     ctx.cli.jobs = jobs;
     ctx.cancel = &token;
     std::ostringstream out;
-    EXPECT_TRUE(run_experiments({&fires, &holds}, ctx, out).empty())
+    EXPECT_EQ(run_experiments({&done, &fires, &holds}, ctx, out),
+              std::vector<int>{0})
         << "jobs=" << jobs;
-    EXPECT_EQ(renders.load(), 0) << "jobs=" << jobs;
-    EXPECT_EQ(out.str(), "== fires: probe ==\n") << "jobs=" << jobs;
+    EXPECT_EQ(renders.load(), 1) << "jobs=" << jobs;
+    EXPECT_EQ(out.str(), "== done: probe ==\nrendered\n") << "jobs=" << jobs;
   }
 }
 
@@ -384,7 +414,8 @@ TEST(RunQueue, FailingTableCellReportsInsteadOfCrashing) {
                                 AFS_CHECK_MSG(false, "cell broke");
                                 return {};
                               }});
-        plan.render = [](std::vector<CellOutcome>&, std::ostream& out) {
+        plan.render = [](std::vector<CellOutcome>&, std::ostream& out,
+                         std::ostream&) {
           out << "rendered\n";
           return 0;
         };
