@@ -177,16 +177,19 @@ std::string publish_failure_report(const std::string& out_dir,
   return report;
 }
 
-/// A figure cell's store key. Traced and host-timed cells key as
-/// uncacheable: their side outputs are not in the store, so they always
-/// simulate.
-CellKey figure_cell_key(const FigureSpec& spec, const SchedulerEntry& se,
-                        int procs) {
-  CellKey key = make_cell_key(spec.machine, spec.program.key, se.key, procs,
-                              spec.sim_options);
+namespace {
+
+/// A figure cell's store key, from the figure's key prefix. Traced and
+/// host-timed cells key as uncacheable: their side outputs are not in the
+/// store, so they always simulate.
+CellKey figure_cell_key(const FigureSpec& spec, const CellKeyPrefix& prefix,
+                        const SchedulerEntry& se, int procs) {
+  CellKey key = prefix.key(spec.program.key, se.key, procs);
   key.cacheable = key.cacheable && !spec.trace;
   return key;
 }
+
+}  // namespace
 
 ExperimentPlan plan_figure(
     std::shared_ptr<const FigureSpec> spec,
@@ -200,6 +203,8 @@ ExperimentPlan plan_figure(
   // cells run in.
   ExperimentPlan plan;
   const double cost = program_cost(spec->program);
+  const auto prefix = std::make_shared<const CellKeyPrefix>(
+      spec->machine, spec->sim_options);
   for (std::size_t s = 0; s < spec->schedulers.size(); ++s) {
     const SchedulerEntry& scheduler = spec->schedulers[s];
     for (int p : spec->procs) {
@@ -213,15 +218,16 @@ ExperimentPlan plan_figure(
       cell.label = scheduler.label;
       cell.procs = p;
       cell.cost = cost * p;
-      if (spec->store) cell.key = key_hash(figure_cell_key(*spec, scheduler, p));
+      if (spec->store)
+        cell.key = key_hash(figure_cell_key(*spec, *prefix, scheduler, p));
       // The key text is rebuilt when the cell runs rather than held by
       // every queued cell.
-      cell.run = [spec, s, p](const CancelToken& token) {
+      cell.run = [spec, prefix, s, p](const CancelToken& token) {
         const SchedulerEntry& se = spec->schedulers[s];
         SimOptions options = spec->sim_options;
         options.cancel = &token;
         CellKey key;
-        if (spec->store) key = figure_cell_key(*spec, se, p);
+        if (spec->store) key = figure_cell_key(*spec, *prefix, se, p);
         return load_or_simulate(spec->store, key, [&]() -> SimResult {
           // A store miss goes to the sandbox executor when one is wired
           // in and the cell's outputs survive the wire (traces and phase

@@ -10,10 +10,8 @@
 #include "kernels/gauss.hpp"
 #include "kernels/sor.hpp"
 #include "kernels/synthetic.hpp"
-#include "kernels/transitive_closure.hpp"
 #include "machines/machines.hpp"
 #include "util/table.hpp"
-#include "workload/graphs.hpp"
 
 namespace afs {
 
@@ -38,31 +36,33 @@ const std::vector<const char*> kAblationVictim{"AFS", "AFS-RAND(2)",
                                                "AFS-RAND(4)", "WS"};
 
 ExperimentPlan plan_ablation(const ExperimentContext& ctx) {
-  const SharedProgram tc(
-      TransitiveClosureKernel::program(clique_graph(640, 320)));
+  const SharedProgram tc(registered_closure(ClosureGraph::kClique640).program);
   const SharedProgram sor(SorKernel::program(512, 8));
   const SharedProgram drift(drifting_hotspot_program(
       /*n=*/2048, /*epochs=*/64, /*width=*/256, /*speed=*/4.0,
       /*heavy=*/50.0, /*light=*/1.0, /*row_units=*/64.0));
   const SharedProgram tc_large(
-      TransitiveClosureKernel::program(clique_graph(1024, 409)));
+      registered_closure(ClosureGraph::kClique1024).program);
+  const SharedMachine iris_m(iris());
 
   ExperimentPlan plan;
-  const auto add = [&](const MachineConfig& m, const SharedProgram& prog,
+  const auto add = [&](const SharedMachine& m, const SharedProgram& prog,
                        const std::string& spec, int p) {
     plan.cells.push_back(table_cell(ctx, spec, m, prog, spec, p));
   };
-  for (const char* spec : kAblationK) add(iris(), tc, spec, 8);
-  for (const char* spec : kAblationSteal) add(iris(), tc, spec, 8);
+  for (const char* spec : kAblationK) add(iris_m, tc, spec, 8);
+  for (const char* spec : kAblationSteal) add(iris_m, tc, spec, 8);
   for (double rows_per_proc : kAblationRows) {
     MachineConfig m = iris();
     m.cache_capacity = rows_per_proc * 512.0;
-    add(m, sor, "AFS", 8);
-    add(m, sor, "GSS", 8);
+    const SharedMachine cache(m);
+    add(cache, sor, "AFS", 8);
+    add(cache, sor, "GSS", 8);
   }
   for (const SharedProgram* prog : {&tc, &drift})
-    for (const char* spec : kAblationLe) add(iris(), *prog, spec, 8);
-  for (const char* spec : kAblationVictim) add(ksr1(), tc_large, spec, 57);
+    for (const char* spec : kAblationLe) add(iris_m, *prog, spec, 8);
+  const SharedMachine ksr(ksr1());
+  for (const char* spec : kAblationVictim) add(ksr, tc_large, spec, 57);
 
   plan.render = [cli = ctx.cli, names = std::vector<std::string>{
                                     tc.program->name, drift.program->name}](
@@ -176,10 +176,12 @@ ExperimentPlan plan_trend(const ExperimentContext& ctx) {
 
   const SharedProgram prog(GaussKernel::program(256));
   ExperimentPlan plan;
-  for (const MachineConfig& m : machines)
+  for (const MachineConfig& m : machines) {
+    const SharedMachine machine(m);
     for (const char* spec : {"AFS", "GSS"})
       plan.cells.push_back(
-          table_cell(ctx, m.name + " " + spec, m, prog, spec, 8));
+          table_cell(ctx, m.name + " " + spec, machine, prog, spec, 8));
+  }
 
   plan.render = [csv = bench::csv_path(ctx.cli, "trend"), machines](
                     std::vector<CellOutcome>& cells, std::ostream& out,

@@ -22,10 +22,8 @@
 #include "experiments/registry.hpp"
 #include "kernels/gauss.hpp"
 #include "kernels/sor.hpp"
-#include "kernels/transitive_closure.hpp"
 #include "machines/machines.hpp"
 #include "sched/registry.hpp"
-#include "store/cell_key.hpp"
 #include "store/result_store.hpp"
 #include "trace/analysis.hpp"
 #include "trace/binary_sink.hpp"
@@ -33,7 +31,6 @@
 #include "util/cancel.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
-#include "workload/graphs.hpp"
 
 namespace afs {
 
@@ -45,12 +42,14 @@ namespace {
 // scheduler, P) — the stored result here carries trace-derived fields a
 // plain cell never fills.
 SweepCellSpec analyzed_cell(const ExperimentContext& ctx,
-                            const MachineConfig& machine,
+                            const SharedMachine& machine,
                             const SharedProgram& program,
                             const std::string& spec, int procs) {
-  const auto key_of = [machine, program = program.program, spec, procs] {
-    return make_cell_key(machine, program->key, spec + "+tracemetrics", procs,
-                         SimOptions{});
+  // Keyed under the machine's plain options: the analysis sink attached
+  // below is not part of the cell's identity.
+  const auto key_of = [setting = machine.setting, program = program.program,
+                       spec, procs] {
+    return setting->key.key(program->key, spec + "+tracemetrics", procs);
   };
   const std::string trace_path =
       ctx.cli.trace ? trace_cell_path(ctx.cli.out_dir, "frontier_tradeoff",
@@ -61,20 +60,21 @@ SweepCellSpec analyzed_cell(const ExperimentContext& ctx,
   cell.procs = procs;
   cell.cost = program.cost * procs;
   if (ctx.store) cell.key = key_hash(key_of());
-  cell.run = [store = ctx.store, key_of, machine, program = program.program,
-              spec, procs, trace_path](const CancelToken& token) {
+  cell.run = [store = ctx.store, key_of, setting = machine.setting,
+              program = program.program, spec, procs,
+              trace_path](const CancelToken& token) {
     return load_or_simulate(store, store ? key_of() : CellKey{}, [&] {
       std::unique_ptr<BinaryTraceSink> file;
       if (!trace_path.empty())
         file = std::make_unique<BinaryTraceSink>(trace_path);
       TraceAnalysisSink sink(file.get());
-      SimOptions opts;
+      SimOptions opts = setting->options;
       opts.cancel = &token;
       opts.trace = &sink;
       auto sched = make_scheduler(spec);
       SimResult r;
       try {
-        r = simulate_cell(machine, *program, *sched, procs, opts);
+        r = simulate_cell(setting->machine, *program, *sched, procs, opts);
         if (file) file->finalize();
       } catch (...) {
         if (file) file->abandon();
@@ -119,15 +119,15 @@ ExperimentPlan plan_frontier(const ExperimentContext& ctx) {
   const std::vector<SharedProgram> kernels{
       SharedProgram(SorKernel::program(256, 8)),
       SharedProgram(GaussKernel::program(192)),
-      SharedProgram(
-          TransitiveClosureKernel::program(clique_graph(320, 160)))};
+      SharedProgram(registered_closure(ClosureGraph::kClique320).program)};
 
   if (cli.trace) std::filesystem::create_directories(cli.out_dir);
+  const SharedMachine shared(machine);
   ExperimentPlan plan;
   for (const SharedProgram& k : kernels)
     for (const std::string& spec : specs)
       for (int p : procs)
-        plan.cells.push_back(analyzed_cell(ctx, machine, k, spec, p));
+        plan.cells.push_back(analyzed_cell(ctx, shared, k, spec, p));
 
   plan.render = [cli, specs, procs, labels](std::vector<CellOutcome>& cells,
                                             std::ostream& out, std::ostream&) {

@@ -11,10 +11,8 @@
 #include "kernels/gauss.hpp"
 #include "kernels/l4.hpp"
 #include "kernels/sor.hpp"
-#include "kernels/transitive_closure.hpp"
 #include "machines/machines.hpp"
 #include "sched/static_scheduler.hpp"
-#include "workload/graphs.hpp"
 
 namespace afs {
 
@@ -36,12 +34,11 @@ SchedulerEntry tc_best_static(std::shared_ptr<const BitMatrix> trace) {
 }
 
 /// A transitive-closure figure's program with its BEST-STATIC oracle:
-/// both read one activity trace of the graph.
-void tc_program_and_oracle(FigureSpec& spec, const BoolMatrix& graph) {
-  const auto trace = std::make_shared<const BitMatrix>(
-      TransitiveClosureKernel::active_trace(graph));
-  spec.program = TransitiveClosureKernel::program(graph, 2.0, trace);
-  spec.schedulers.back() = tc_best_static(trace);
+/// both read the graph's one shared activity trace.
+void tc_program_and_oracle(FigureSpec& spec, ClosureGraph graph) {
+  const ClosureProgram& tc = registered_closure(graph);
+  spec.program = tc.program;
+  spec.schedulers.back() = tc_best_static(tc.trace);
 }
 
 }  // namespace
@@ -123,7 +120,7 @@ void register_iris_experiments(std::vector<Experiment>& experiments) {
         spec.schedulers = iris_schedulers();
         // BEST-STATIC's oracle knows the input: per-epoch costs from the
         // trace.
-        tc_program_and_oracle(spec, random_graph(512, 0.08, 1992));
+        tc_program_and_oracle(spec, ClosureGraph::kRandom512);
         return spec;
       },
       [](const FigureResult& r, std::ostream& out) {
@@ -151,7 +148,7 @@ void register_iris_experiments(std::vector<Experiment>& experiments) {
         spec.machine = iris();
         spec.procs = iris_procs();
         spec.schedulers = iris_schedulers();
-        tc_program_and_oracle(spec, clique_graph(640, 320));
+        tc_program_and_oracle(spec, ClosureGraph::kClique640);
         return spec;
       },
       [](const FigureResult& r, std::ostream& out) {

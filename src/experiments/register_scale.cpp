@@ -6,9 +6,7 @@
 #include "experiments/registry.hpp"
 #include "kernels/gauss.hpp"
 #include "kernels/sor.hpp"
-#include "kernels/transitive_closure.hpp"
 #include "machines/machines.hpp"
-#include "workload/graphs.hpp"
 
 namespace afs {
 
@@ -82,13 +80,12 @@ void register_scale_experiments(std::vector<Experiment>& experiments) {
   experiments.push_back(figure_experiment(
       "fig16", "Transitive closure on the KSR-1 (1024 nodes, 40% clique)",
       [] {
-        const auto graph = clique_graph(1024, 409);  // 40% clique
         FigureSpec spec;
         spec.id = "fig16";
         spec.title =
             "Transitive closure on the KSR-1 (1024 nodes, 40% clique)";
         spec.machine = ksr1();
-        spec.program = TransitiveClosureKernel::program(graph);
+        spec.program = registered_closure(ClosureGraph::kClique1024).program;
         spec.procs = ksr_procs();
         spec.schedulers = {entry("AFS"), entry("TRAPEZOID"),
                            entry("FACTORING"), entry("GSS"),

@@ -17,12 +17,10 @@
 #include "kernels/gauss.hpp"
 #include "kernels/sor.hpp"
 #include "kernels/synthetic.hpp"
-#include "kernels/transitive_closure.hpp"
 #include "machines/machines.hpp"
 #include "sched/bounds.hpp"
 #include "sched/registry.hpp"
 #include "util/table.hpp"
-#include "workload/graphs.hpp"
 
 namespace afs {
 
@@ -46,16 +44,16 @@ ExperimentPlan plan_tab2(const ExperimentContext& ctx) {
 
   ExperimentPlan plan;
   for (double frac : delays) {
-    for (const auto& spec : specs) {
-      // The delayed start is expressed through the fault-injection model:
-      // one initial stall on processor 0 (accounted as stall_time).
-      SimOptions opts;
-      opts.perturb.start_delays.assign(p, 0.0);
-      opts.perturb.start_delays[0] = frac * static_cast<double>(n);
+    // The delayed start is expressed through the fault-injection model:
+    // one initial stall on processor 0 (accounted as stall_time).
+    SimOptions opts;
+    opts.perturb.start_delays.assign(p, 0.0);
+    opts.perturb.start_delays[0] = frac * static_cast<double>(n);
+    const SharedMachine delayed(machine, opts);
+    for (const auto& spec : specs)
       plan.cells.push_back(table_cell(
-          ctx, spec + " delay=" + Table::num(frac, 4) + "N", machine, program,
-          spec, p, opts));
-    }
+          ctx, spec + " delay=" + Table::num(frac, 4) + "N", delayed, program,
+          spec, p));
   }
   plan.render = [csv = bench::csv_path(ctx.cli, "tab2"), n, p, delays,
                  specs](std::vector<CellOutcome>& cells, std::ostream& out,
@@ -119,7 +117,7 @@ std::function<ExperimentPlan(const ExperimentContext&)> plan_sync_ops(
     const std::vector<int> procs{1, 2, 4, 6, 8};
     const std::vector<std::string> specs{"SS", "GSS", "FACTORING",
                                          "TRAPEZOID", "AFS"};
-    const MachineConfig machine = iris();
+    const SharedMachine machine(iris());
     const SharedProgram program(make_program());
     ExperimentPlan plan;
     for (int p : procs)
@@ -160,17 +158,18 @@ std::function<ExperimentPlan(const ExperimentContext&)> plan_sync_ops(
 // non-affinity schedulers even at this size.
 ExperimentPlan plan_tab6(const ExperimentContext& ctx) {
   const SharedProgram program(GaussKernel::program(4096));
-  const MachineConfig machine = ksr1();
+  const SharedMachine machine(ksr1());
   const std::vector<std::string> specs{"AFS",       "STATIC",    "MOD-FACTORING",
                                        "FACTORING", "TRAPEZOID", "GSS"};
   ExperimentPlan plan;
   for (const std::string& spec : specs)
     plan.cells.push_back(table_cell(ctx, spec, machine, program, spec, 16));
-  plan.render = [csv = bench::csv_path(ctx.cli, "tab6"), machine,
-                 program = program.program,
+  plan.render = [csv = bench::csv_path(ctx.cli, "tab6"),
+                 setting = machine.setting, program = program.program,
                  specs](std::vector<CellOutcome>& cells, std::ostream& out,
                         std::ostream&) {
-    const double serial = MachineSim(machine).ideal_serial_time(*program);
+    const double serial =
+        MachineSim(setting->machine).ideal_serial_time(*program);
     Table table({"scheduler", "completion time", "vs AFS", "speedup"});
     const double afs_time = cells.front().result->makespan;
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -290,12 +289,13 @@ ExperimentPlan plan_tab7(const ExperimentContext& ctx) {
   for (const std::vector<std::string>& lineup : lineups) {
     for (const MachineCase& mc : machines) {
       const SharedProgram program(GaussKernel::program(mc.n));
+      const SharedMachine machine(mc.config);
       for (const std::string& spec : lineup) {
         const std::size_t slot = baselines->size();
         baselines->push_back(0.0);
         const int base = static_cast<int>(plan.cells.size());
         SweepCellSpec none = table_cell(ctx, mc.config.name + " " + spec,
-                                        mc.config, program, spec, mc.procs);
+                                        machine, program, spec, mc.procs);
         none.run = [run = std::move(none.run), baselines,
                     slot](const CancelToken& token) {
           SimResult r = run(token);
@@ -311,15 +311,15 @@ ExperimentPlan plan_tab7(const ExperimentContext& ctx) {
             cell.procs = mc.procs;
             cell.cost = program.cost * mc.procs;
             cell.after = base;
-            cell.run = [store = ctx.store, machine = mc.config,
+            cell.run = [store = ctx.store, setting = machine.setting,
                         program = program.program, spec, procs = mc.procs,
                         level = levels[l], batched, baselines,
                         slot](const CancelToken& token) {
-              SimOptions opts =
-                  fault_options(level, (*baselines)[slot], machine);
+              const MachineConfig& m = setting->machine;
+              SimOptions opts = fault_options(level, (*baselines)[slot], m);
               opts.batch_iterations = batched;
-              return run_table_cell(store, machine, *program, spec, procs,
-                                    opts, token);
+              return run_table_cell(store, m, *program, spec, procs, opts,
+                                    token);
             };
             plan.cells.push_back(std::move(cell));
           }
@@ -415,7 +415,7 @@ void register_table_experiments(std::vector<Experiment>& experiments) {
   experiments.push_back(table_experiment(
       "tab4", "Sync operations per loop, transitive closure (640, skewed)",
       {"tab4"}, plan_sync_ops("tab4", [] {
-        return TransitiveClosureKernel::program(clique_graph(640, 320));
+        return registered_closure(ClosureGraph::kClique640).program;
       })));
   experiments.push_back(table_experiment(
       "tab5", "Sync operations, adjoint convolution N=75", {"tab5"},

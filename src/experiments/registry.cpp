@@ -11,6 +11,7 @@
 #include "store/cell_key.hpp"
 #include "store/result_store.hpp"
 #include "util/check.hpp"
+#include "workload/graphs.hpp"
 
 namespace afs {
 
@@ -39,39 +40,46 @@ ExperimentRun::ExperimentRun(std::vector<const Experiment*> experiments,
     : experiments_(std::move(experiments)), ctx_(ctx), out_(out) {
   AFS_CHECK(!experiments_.empty());
   header(*experiments_.front());
-  for (const Experiment* e : experiments_) {
-    ExperimentPlan plan;
-    try {
-      plan = e->plan(ctx_);
-    } catch (const std::exception& ex) {
-      // Reported in registry order, like any other failed render.
-      plan.render = [what = std::string(ex.what())](
-                        std::vector<CellOutcome>&, std::ostream&,
-                        std::ostream&) -> int {
-        throw std::runtime_error(what);
-      };
-    }
-    Block b;
-    b.render = std::move(plan.render);
-    b.first = cells_.size();
-    b.pending = plan.cells.size();
-    b.outcomes.resize(plan.cells.size());
-    for (SweepCellSpec& c : plan.cells) {
-      if (c.after >= 0) c.after += static_cast<int>(b.first);
-      cells_.push_back(std::move(c));
-      owner_.push_back(blocks_.size());
-    }
-    blocks_.push_back(std::move(b));
-  }
-  print_ready();  // blocks without cells
 }
 
 void ExperimentRun::header(const Experiment& e) {
   out_ << "== " << e.id << ": " << e.title << " ==" << std::endl;
 }
 
+std::vector<SweepCellSpec> ExperimentRun::plan_next() {
+  // Only this thread adds blocks, so it may read their count unlocked.
+  const Experiment& e = *experiments_[blocks_.size()];
+  ExperimentPlan plan;
+  try {
+    plan = e.plan(ctx_);
+  } catch (const std::exception& ex) {
+    // Reported in registry order, like any other failed render.
+    plan.render = [what = std::string(ex.what())](
+                      std::vector<CellOutcome>&, std::ostream&,
+                      std::ostream&) -> int {
+      throw std::runtime_error(what);
+    };
+  }
+  std::scoped_lock lock(mu_);
+  Block& b = blocks_.emplace_back();
+  b.render = std::move(plan.render);
+  b.first = owner_.size();
+  b.pending = plan.cells.size();
+  b.outcomes.resize(plan.cells.size());
+  for (SweepCellSpec& c : plan.cells) {
+    if (c.after >= 0) c.after += static_cast<int>(b.first);
+    owner_.push_back(blocks_.size() - 1);
+  }
+  unlanded_ += plan.cells.size();
+  if (b.pending == 0) complete(b);
+  return std::move(plan.cells);
+}
+
 std::vector<SweepCellSpec> ExperimentRun::take_cells() {
-  return std::move(cells_);
+  std::vector<SweepCellSpec> cells;
+  while (blocks_.size() < experiments_.size())
+    for (SweepCellSpec& c : plan_next()) cells.push_back(std::move(c));
+  return cells;
 }
 
 std::vector<SweepCellSpec> ExperimentRun::take_misses(
@@ -111,14 +119,32 @@ std::vector<SweepCellSpec> ExperimentRun::take_misses(
   return misses;
 }
 
+void ExperimentRun::stream(CellQueue& queue, const SweepOptions& opts) {
+  queue_ = &queue;
+  CellQueue::Batch* batch = queue.open(
+      opts,
+      {nullptr,
+       [this](std::size_t k, CellOutcome o) { land(k, std::move(o)); }},
+      ctx_.log);
+  try {
+    while (blocks_.size() < experiments_.size())
+      queue.add(batch, plan_next());
+  } catch (...) {
+    queue.close(batch);
+    throw;
+  }
+  queue.close(batch);
+}
+
 bool ExperimentRun::cancelled() const {
   return ctx_.cancel != nullptr && ctx_.cancel->cancelled();
 }
 
-void ExperimentRun::render_on(CellQueue& queue) {
-  queue_ = &queue;
-  for (std::size_t i = next_; i < blocks_.size(); ++i)
-    if (blocks_[i].pending == 0) post_render(blocks_[i]);  // no cells
+void ExperimentRun::complete(Block& b) {
+  if (queue_ != nullptr)
+    post_render(b);
+  else
+    print_ready();
 }
 
 void ExperimentRun::post_render(Block& b) {
@@ -127,23 +153,23 @@ void ExperimentRun::post_render(Block& b) {
   if (ctx_.on_cell_failure)
     for (const CellOutcome& o : b.outcomes)
       if (!o.result) b.failures.push_back(o.failure);
-  {
-    std::scoped_lock lock(render_mu_);
-    ++rendering_;
-  }
+  ++rendering_;
   queue_->post([this, &b] {
-    b.ran = !cancelled();
-    if (b.ran) {
+    // No one else touches the block until it is marked rendered.
+    const bool ran = !cancelled();
+    if (ran) {
       std::ostringstream text;
       render(b, text);
       b.text = std::move(text).str();
     }
     b.render = nullptr;  // release the plan and results now
     b.outcomes = {};
-    std::scoped_lock lock(render_mu_);
+    std::scoped_lock lock(mu_);
+    b.ran = ran;
     b.rendered = true;
     --rendering_;
-    rendered_cv_.notify_all();  // under the lock: finish() may end the run
+    print_ready();
+    done_cv_.notify_all();  // under the lock: finish() may end the run
   });
 }
 
@@ -158,28 +184,25 @@ void ExperimentRun::render(Block& b, std::ostream& out) {
 }
 
 void ExperimentRun::land(std::size_t k, CellOutcome outcome) {
+  std::scoped_lock lock(mu_);
   Block& b = blocks_[owner_[k]];
   b.outcomes[k - b.first] = std::move(outcome);
-  if (--b.pending == 0 && queue_ != nullptr) post_render(b);
-  print_ready();
+  if (--b.pending == 0) complete(b);
+  if (--unlanded_ == 0) done_cv_.notify_all();
 }
 
 void ExperimentRun::finish() {
-  print_ready(/*wait=*/true);
-  std::unique_lock lock(render_mu_);
-  rendered_cv_.wait(lock, [this] { return rendering_ == 0; });
+  std::unique_lock lock(mu_);
+  done_cv_.wait(lock, [this] { return unlanded_ == 0 && rendering_ == 0; });
 }
 
-void ExperimentRun::print_ready(bool wait) {
+void ExperimentRun::print_ready() {
   for (; next_ < blocks_.size() && blocks_[next_].pending == 0; ++next_) {
     Block& b = blocks_[next_];
     if (queue_ != nullptr) {
       // A block whose render started before the token fired prints, as
       // it would have under --jobs=1 (its CSVs are out already).
-      std::unique_lock lock(render_mu_);
-      if (!b.rendered && !wait) return;
-      rendered_cv_.wait(lock, [&b] { return b.rendered; });
-      if (!b.ran) return;
+      if (!b.rendered || !b.ran) return;
     } else if (cancelled()) {
       return;
     }
@@ -218,21 +241,20 @@ std::vector<int> run_experiments(
   if (cells != nullptr) *cells = 0;
   if (experiments.empty()) return {};
   ExperimentRun run(experiments, ctx, out);
-  if (cells != nullptr) *cells = run.cell_count();
-  SweepOptions opts = sweep_options(ctx);
-  // Under --jobs the cells' workers also render the blocks, so this thread
-  // only plans, files outcomes and prints. Declared after the run, the
-  // queue goes first, running any render still posted.
-  std::optional<CellQueue> queue;
-  if (opts.jobs > 1) {
-    opts.queue = &queue.emplace(opts.jobs);
-    run.render_on(*opts.queue);
+  const SweepOptions opts = sweep_options(ctx);
+  if (opts.jobs == 1) {
+    run_sweep(
+        run.take_cells(), opts,
+        [&run](std::size_t k, CellOutcome o) { run.land(k, std::move(o)); },
+        ctx.log);
+  } else {
+    // The workers land the outcomes and render and print the blocks, so
+    // this thread only plans.
+    CellQueue queue(opts.jobs);
+    run.stream(queue, opts);
+    run.finish();
   }
-  run_sweep(
-      run.take_cells(), opts,
-      [&run](std::size_t k, CellOutcome o) { run.land(k, std::move(o)); },
-      ctx.log);
-  run.finish();
+  if (cells != nullptr) *cells = run.cell_count();
   return run.codes();
 }
 
@@ -294,12 +316,15 @@ Experiment table_experiment(
   return e;
 }
 
-SimResult run_table_cell(CellStore* store, const MachineConfig& machine,
-                         const LoopProgram& program,
-                         const std::string& sched_spec, int procs,
-                         SimOptions options, const CancelToken& token) {
-  CellKey key;
-  if (store) key = make_cell_key(machine, program.key, sched_spec, procs, options);
+namespace {
+
+/// A table cell's body under its key: served from `store`, else simulated
+/// on this thread's warm simulator and published.
+SimResult table_cell_result(CellStore* store, const CellKey& key,
+                            const MachineConfig& machine,
+                            const LoopProgram& program,
+                            const std::string& sched_spec, int procs,
+                            SimOptions options, const CancelToken& token) {
   options.cancel = &token;
   return load_or_simulate(store, key, [&] {
     auto sched = make_scheduler(sched_spec);
@@ -307,24 +332,67 @@ SimResult run_table_cell(CellStore* store, const MachineConfig& machine,
   });
 }
 
-SweepCellSpec table_cell(const ExperimentContext& ctx, std::string label,
-                         const MachineConfig& machine,
-                         const SharedProgram& program,
+}  // namespace
+
+SimResult run_table_cell(CellStore* store, const MachineConfig& machine,
+                         const LoopProgram& program,
                          const std::string& sched_spec, int procs,
-                         const SimOptions& options) {
+                         SimOptions options, const CancelToken& token) {
+  CellKey key;
+  if (store) key = make_cell_key(machine, program.key, sched_spec, procs, options);
+  return table_cell_result(store, key, machine, program, sched_spec, procs,
+                           std::move(options), token);
+}
+
+SharedMachine::SharedMachine(MachineConfig machine, SimOptions options)
+    : setting(std::make_shared<const Setting>(
+          Setting{machine, options, CellKeyPrefix(machine, options)})) {}
+
+SweepCellSpec table_cell(const ExperimentContext& ctx, std::string label,
+                         const SharedMachine& machine,
+                         const SharedProgram& program,
+                         const std::string& sched_spec, int procs) {
+  const SharedMachine::Setting& m = *machine.setting;
   SweepCellSpec cell;
   cell.label = std::move(label);
   cell.procs = procs;
   cell.cost = program.cost * procs;
   if (ctx.store)
-    cell.key = key_hash(make_cell_key(machine, program.program->key,
-                                      sched_spec, procs, options));
-  cell.run = [store = ctx.store, machine, program = program.program,
-              sched_spec, procs, options](const CancelToken& token) {
-    return run_table_cell(store, machine, *program, sched_spec, procs,
-                          options, token);
+    cell.key = key_hash(m.key.key(program.program->key, sched_spec, procs));
+  // The key text is rebuilt when the cell runs rather than held by every
+  // queued cell.
+  cell.run = [store = ctx.store, setting = machine.setting,
+              program = program.program, sched_spec,
+              procs](const CancelToken& token) {
+    CellKey key;
+    if (store) key = setting->key.key(program->key, sched_spec, procs);
+    return table_cell_result(store, key, setting->machine, *program,
+                             sched_spec, procs, setting->options, token);
   };
   return cell;
+}
+
+const ClosureProgram& registered_closure(ClosureGraph graph) {
+  // One function-local static per graph: C++ builds each exactly once,
+  // even when daemon readers plan concurrently.
+  if (graph == ClosureGraph::kRandom512) {
+    static const ClosureProgram c =
+        TransitiveClosureKernel::closure(random_graph(512, 0.08, 1992));
+    return c;
+  }
+  if (graph == ClosureGraph::kClique320) {
+    static const ClosureProgram c =
+        TransitiveClosureKernel::closure(clique_graph(320, 160));
+    return c;
+  }
+  if (graph == ClosureGraph::kClique640) {
+    static const ClosureProgram c =
+        TransitiveClosureKernel::closure(clique_graph(640, 320));
+    return c;
+  }
+  static const ClosureProgram c =
+      TransitiveClosureKernel::closure(clique_graph(1024, 409));
+  return c;
 }
 
 std::string scheduler_display_name(const std::string& sched_spec) {

@@ -13,6 +13,7 @@
 
 #include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -23,13 +24,14 @@
 
 #include "experiments/bench_cli.hpp"
 #include "experiments/figure.hpp"
+#include "kernels/transitive_closure.hpp"
 #include "sim/machine_sim.hpp"
+#include "store/cell_key.hpp"
 
 namespace afs {
 
 class CellStore;
 class StoreView;
-struct CellKey;
 
 enum class ExperimentKind {
   kFigure,  ///< a FigureSpec grid of (scheduler, P) cells
@@ -88,25 +90,27 @@ const std::vector<Experiment>& all_experiments();
 /// Lookup by id; nullptr when unknown.
 const Experiment* find_experiment(const std::string& id);
 
-/// Experiments planned as one list of cells, whose blocks — "== id:
+/// Experiments planned one after another, whose blocks — "== id:
 /// title ==" plus the render — print in the given order as the cells'
 /// outcomes land: a block prints once it and every block before it are
 /// complete, and its plan and results are released then. A block renders
-/// on the thread that prints it, or under render_on on a queue worker as
+/// on the thread that prints it, or under stream on a queue worker as
 /// soon as its own cells are in. Once ctx.cancel fires no render starts;
 /// the blocks whose render started before it still print, up to the
-/// first that did not render. run_experiments feeds it from run_sweep;
-/// the daemon serves a request's store hits at admission (take_misses)
-/// and feeds it the rest from its shared queue.
+/// first that did not render. run_experiments feeds it from run_sweep
+/// (--jobs=1) or streams it (stream); the daemon serves a request's store
+/// hits at admission (take_misses) and feeds it the rest from its shared
+/// queue. Outcomes may land on any thread.
 class ExperimentRun {
  public:
-  /// Prints the first experiment's header (before anything is planned:
-  /// the first byte is the run's set-up latency), then plans them all.
-  /// `experiments` must not be empty; the context must outlive the run.
+  /// Prints the first experiment's header before anything is planned:
+  /// the first byte is the run's set-up latency. `experiments` must not
+  /// be empty; the context must outlive the run.
   ExperimentRun(std::vector<const Experiment*> experiments,
                 const ExperimentContext& ctx, std::ostream& out);
 
-  /// Every planned cell, in experiment then declaration order. Call once.
+  /// Plans every experiment and returns their cells, in experiment then
+  /// declaration order. Call once.
   std::vector<SweepCellSpec> take_cells();
 
   /// Admission: runs each cell's closure with `view` (the store the
@@ -119,19 +123,21 @@ class ExperimentRun {
   std::vector<SweepCellSpec> take_misses(StoreView& view,
                                          std::vector<std::size_t>& index);
 
-  /// Renders each block on `queue`'s workers (CellQueue::post) once its
-  /// last cell lands, into a buffer that the next land() or finish()
-  /// prints in block order; on_cell_failure still fires as each block
-  /// prints. Call once, before the first land().
-  void render_on(CellQueue& queue);
+  /// Plans each experiment in turn and adds its cells to one batch on
+  /// `queue`, under `opts`, as soon as it is planned: the workers load
+  /// and render the early blocks while this thread plans the rest. Each
+  /// block renders on a worker once its last cell lands, and prints from
+  /// there as soon as it and every block before it have rendered;
+  /// on_cell_failure fires as each block prints. Call once, instead of
+  /// take_cells, then finish().
+  void stream(CellQueue& queue, const SweepOptions& opts);
 
-  /// Files cell k's outcome and prints every block now complete (and,
-  /// under render_on, rendered).
+  /// Files cell k's outcome and prints every block now complete (under
+  /// stream, posts the block's render once it is complete).
   void land(std::size_t k, CellOutcome outcome);
 
-  /// Once every cell has landed: waits for the renders still running and
-  /// prints the blocks left, up to the first that did not render because
-  /// ctx.cancel fired. Under render_on, call it before the run is
+  /// Once every cell was handed out: waits until each has landed and
+  /// each render is done. Under stream, call it before the run is
   /// destroyed.
   void finish();
 
@@ -155,47 +161,56 @@ class ExperimentRun {
     int code = EXIT_FAILURE;            // the render's exit code
     std::string err;                    // its diagnostics, for std::cerr
     std::optional<std::string> error;   // what() of a render that threw
-    // Under render_on, what the worker leaves for the printer:
+    // Under stream, what the worker leaves for the printer:
     std::vector<CellFailure> failures;  // for on_cell_failure
     std::string text;                   // the block under its header
     bool ran = false;       // ctx.cancel had not fired when it started
-    bool rendered = false;  // the posted task is done; under render_mu_
+    bool rendered = false;  // the posted task is done
   };
 
   bool cancelled() const;
   void header(const Experiment& e);
+  /// Plans the next experiment and returns its cells, numbered after
+  /// every cell planned before.
+  std::vector<SweepCellSpec> plan_next();
+  /// Pre: mu_ held. Block b has all its cells: render it, or print.
+  void complete(Block& b);
   /// Runs b's render into `out`, noting its code, its diagnostics and
   /// the error it threw.
   static void render(Block& b, std::ostream& out);
+  /// Pre: mu_ held.
   void post_render(Block& b);
-  /// Prints the blocks ready in order, up to the first that did not
-  /// render; `wait` blocks on renders running.
-  void print_ready(bool wait = false);
+  /// Pre: mu_ held. Prints the blocks ready in order, up to the first
+  /// that did not render.
+  void print_ready();
 
   std::vector<const Experiment*> experiments_;
   const ExperimentContext& ctx_;
   std::ostream& out_;
-  std::vector<Block> blocks_;
-  std::vector<SweepCellSpec> cells_;
+  CellQueue* queue_ = nullptr;  // where blocks render, if not here
+  // Everything below is guarded by mu_: outcomes land and renders finish
+  // on workers while this thread plans.
+  std::mutex mu_;
+  std::condition_variable done_cv_;  // the last cell landed, or a render
+  std::deque<Block> blocks_;  // one per planned experiment; never moves
   std::vector<std::size_t> owner_;  // cell -> block
+  std::size_t unlanded_ = 0;        // planned cells not landed
+  std::size_t rendering_ = 0;       // posted renders not done
   std::size_t next_ = 0;            // first block not printed
   std::vector<int> codes_;
-  CellQueue* queue_ = nullptr;      // where blocks render, if not here
-  std::mutex render_mu_;
-  std::condition_variable rendered_cv_;
-  std::size_t rendering_ = 0;  // posted renders not done; under render_mu_
 };
 
 /// The queue options of a run under `ctx`: --jobs, the cell and sweep
 /// timeouts, --cell-retries and the caller's token.
 SweepOptions sweep_options(const ExperimentContext& ctx);
 
-/// Runs `experiments` as one queue (an ExperimentRun fed by run_sweep):
-/// every cell on the one --jobs pool, costliest first, and each block's
-/// render on the same workers once its cells are in (--jobs=1 runs cells
-/// and renders in the caller, in registry and declaration order), each
-/// block printed in the given order as soon as it and every block before
-/// it are complete. Returns one exit code per printed block; fewer than
+/// Runs `experiments` as one queue: under --jobs an ExperimentRun
+/// streamed into one batch, every cell on the one pool, costliest ready
+/// cell first, and each block's render on the same workers once its cells
+/// are in; --jobs=1 plans them all, then runs cells and renders in the
+/// caller, in registry and declaration order. Each block prints in the
+/// given order as soon as it and every block before it are complete.
+/// Returns one exit code per printed block; fewer than
 /// experiments.size() only when ctx.cancel fired. `cells`, when given,
 /// receives the number of cells planned.
 std::vector<int> run_experiments(
@@ -231,16 +246,27 @@ struct SharedProgram {
   double cost;
 };
 
+/// A machine and the options a table's cells run it under, shared by
+/// those cells, with the store-key prefix they share rendered once.
+struct SharedMachine {
+  struct Setting {
+    MachineConfig machine;
+    SimOptions options;
+    CellKeyPrefix key;
+  };
+  explicit SharedMachine(MachineConfig machine, SimOptions options = {});
+  std::shared_ptr<const Setting> setting;
+};
+
 /// A table cell: `sched_spec` — a make_scheduler() spec, which doubles as
 /// the scheduler's store key — running `program` on `machine` at `procs`
-/// under `options`, served from the context's store when it holds the
+/// under its options, served from the context's store when it holds the
 /// cell, else simulated on the worker's warm simulator and published.
 /// `label` names the cell in failure reports.
 SweepCellSpec table_cell(const ExperimentContext& ctx, std::string label,
-                         const MachineConfig& machine,
+                         const SharedMachine& machine,
                          const SharedProgram& program,
-                         const std::string& sched_spec, int procs,
-                         const SimOptions& options = {});
+                         const std::string& sched_spec, int procs);
 
 /// The body of a table cell, for cells whose options are only known when
 /// they run (they depend on an earlier cell's result).
@@ -248,6 +274,20 @@ SimResult run_table_cell(CellStore* store, const MachineConfig& machine,
                          const LoopProgram& program,
                          const std::string& sched_spec, int procs,
                          SimOptions options, const CancelToken& token);
+
+/// The transitive-closure graphs that registered experiments run.
+enum class ClosureGraph {
+  kRandom512,   ///< random_graph(512, 0.08, 1992): fig05
+  kClique320,   ///< clique_graph(320, 160): frontier_tradeoff
+  kClique640,   ///< clique_graph(640, 320): fig06, tab4, ablation_afs
+  kClique1024,  ///< clique_graph(1024, 409): fig16, ablation_afs
+};
+
+/// The program of `graph` and its activity trace, built once per process
+/// on first use, whichever thread asks first, and then shared read-only
+/// by every plan and BEST-STATIC oracle that names the graph. A user grid
+/// builds its own.
+const ClosureProgram& registered_closure(ClosureGraph graph);
 
 /// Display name of the scheduler a spec string builds (e.g. "AFS" ->
 /// "AFS(k=P)") without running anything — the bespoke tables label rows

@@ -1,5 +1,6 @@
 #include "kernels/transitive_closure.hpp"
 
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -90,13 +91,20 @@ LoopProgram TransitiveClosureKernel::program(
                   static_cast<std::size_t>(graph.cols()))) +
           ")";
   p.epochs = static_cast<int>(n);
-  p.epoch_loops = [n, work_per_element, row_units, trace](int k) {
+  const double heavy = static_cast<double>(n) * work_per_element;
+  p.epoch_loops = [n, heavy, row_units, trace](int k) {
     ParallelLoopSpec spec;
     spec.n = n;
-    spec.work = [n, work_per_element, trace, k](std::int64_t j) {
-      return trace->test(k, j) ? static_cast<double>(n) * work_per_element
-                               : 1.0;
+    spec.work = [heavy, trace, k](std::int64_t j) {
+      return trace->test(k, j) ? heavy : 1.0;
     };
+    // Every term is a whole number, so ideal_serial_time may add the
+    // epoch's sum in one step.
+    if (heavy == std::floor(heavy))
+      spec.work_sum = [heavy, trace, k](std::int64_t b, std::int64_t e) {
+        const auto active = static_cast<double>(trace->count(k, b, e));
+        return active * heavy + (static_cast<double>(e - b) - active);
+      };
     spec.footprint = [row_units, trace, k](std::int64_t j,
                                            std::vector<BlockAccess>& out) {
       if (!trace->test(k, j))
@@ -107,6 +115,11 @@ LoopProgram TransitiveClosureKernel::program(
     return std::vector<ParallelLoopSpec>{spec};
   };
   return p;
+}
+
+ClosureProgram TransitiveClosureKernel::closure(const BoolMatrix& graph) {
+  auto trace = std::make_shared<const BitMatrix>(active_trace(graph));
+  return {program(graph, 2.0, trace), trace};
 }
 
 }  // namespace afs

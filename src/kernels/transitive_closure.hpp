@@ -24,6 +24,13 @@
 
 namespace afs {
 
+/// A transitive-closure program and the activity trace it reads, which a
+/// BEST-STATIC oracle of the same graph may share.
+struct ClosureProgram {
+  LoopProgram program;
+  std::shared_ptr<const BitMatrix> trace;
+};
+
 class TransitiveClosureKernel {
  public:
   explicit TransitiveClosureKernel(BoolMatrix graph);
@@ -39,10 +46,15 @@ class TransitiveClosureKernel {
   /// is captured by running the serial algorithm once and recording a
   /// trace — the simulated costs then follow the real data-dependent
   /// execution exactly. Pass `trace` (active_trace of the same graph) to
-  /// share one closure with a BEST-STATIC oracle; null computes it.
+  /// share one closure with a BEST-STATIC oracle; null computes it. When
+  /// n * work_per_element is a whole number, each loop's work_sum sums
+  /// its terms with one popcount of the epoch's trace row.
   static LoopProgram program(const BoolMatrix& graph,
                              double work_per_element = 2.0,
                              std::shared_ptr<const BitMatrix> trace = {});
+
+  /// program(graph) with the trace it reads.
+  static ClosureProgram closure(const BoolMatrix& graph);
 
   /// The activity trace: bit (k, j) is set when iteration j of epoch k
   /// does real work, i.e. edge (j, k) is present as epoch k starts. The

@@ -322,16 +322,13 @@ CellOutcome inherited_failure(const SweepCellSpec& cell,
   return out;
 }
 
-/// Cell k of a batch: its predecessor's failure, or its own attempts.
-CellOutcome run_one(const std::vector<SweepCellSpec>& cells,
-                    const std::vector<std::optional<CellFailure>>& failed,
-                    std::size_t k, const CancelToken& token,
-                    const SweepOptions& opts, std::mutex& log_mu,
-                    std::ostream* log) {
-  const SweepCellSpec& c = cells[k];
-  if (c.after >= 0 && failed[static_cast<std::size_t>(c.after)])
-    return inherited_failure(c, cells[static_cast<std::size_t>(c.after)],
-                             *failed[static_cast<std::size_t>(c.after)]);
+/// A cell: the failure it inherits from `pred`, the cell it runs after,
+/// when that failed (`cause`), or its own attempts.
+CellOutcome run_one(const SweepCellSpec& c, const SweepCellSpec* pred,
+                    const std::optional<CellFailure>* cause,
+                    const CancelToken& token, const SweepOptions& opts,
+                    std::mutex& log_mu, std::ostream* log) {
+  if (cause != nullptr && *cause) return inherited_failure(c, *pred, **cause);
   return attempt_cell(c, token, opts, log_mu, log);
 }
 
@@ -346,42 +343,58 @@ void notify_sink(std::mutex& mu, F&& f) noexcept {
 /// Runs a posted task; one that throws ends the program, like a sink.
 void run_task(const std::function<void()>& task) noexcept { task(); }
 
-}  // namespace
-
-std::vector<std::vector<std::size_t>> link_cells(
-    std::vector<SweepCellSpec>& cells) {
-  std::vector<std::vector<std::size_t>> dependents(cells.size());
-  std::unordered_map<std::uint64_t, std::size_t> first;
-  for (std::size_t k = 0; k < cells.size(); ++k) {
-    SweepCellSpec& c = cells[k];
+/// The edges of a batch's cells, set as the cells are appended.
+class CellLinks {
+ public:
+  /// Throws CheckFailure on a cell without a runner or label, or one
+  /// that runs after a later cell. Changes nothing.
+  static void check(const SweepCellSpec& c, std::size_t k) {
     AFS_CHECK_MSG(c.run != nullptr && !c.label.empty(),
                   "cell " << k << " has no runner or empty label");
-    AFS_CHECK_MSG(c.after < static_cast<int>(k),
+    AFS_CHECK_MSG(c.after < static_cast<std::int64_t>(k),
                   "cell " << k << " runs after a later cell " << c.after);
-    if (c.key != 0) {
-      const auto [it, fresh] = first.emplace(c.key, k);
-      if (!fresh && c.after < 0) c.after = static_cast<int>(it->second);
-    }
-    if (c.after >= 0)
-      dependents[static_cast<std::size_t>(c.after)].push_back(k);
   }
-  return dependents;
+  /// Cell k keeps an explicit `after`, else a repeated key runs after its
+  /// first instance. Pre: check passed.
+  void link(SweepCellSpec& c, std::size_t k) {
+    if (c.key == 0) return;
+    const auto [it, fresh] = first_.emplace(c.key, k);
+    if (!fresh && c.after < 0) c.after = static_cast<int>(it->second);
+  }
+
+ private:
+  std::unordered_map<std::uint64_t, std::size_t> first_;  // key -> cell
+};
+
+}  // namespace
+
+void link_cells(std::vector<SweepCellSpec>& cells) {
+  CellLinks links;
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    CellLinks::check(cells[k], k);
+    links.link(cells[k], k);
+  }
 }
 
 struct CellQueue::Batch {
-  Batch(std::vector<SweepCellSpec> c, const SweepOptions& o, BatchSink s,
-        std::ostream* l)
-      : cells(std::move(c)),
-        opts(o),
+  Batch(const SweepOptions& o, BatchSink s, std::ostream* l)
+      : opts(o),
         own_token(o.cancel),
         token(o.cancel != nullptr && o.sweep_timeout <= 0.0 ? o.cancel
                                                             : &own_token),
         sink(std::move(s)),
-        log(l),
-        failed(cells.size()),
-        unlanded(cells.size()) {}
+        log(l) {}
 
-  std::vector<SweepCellSpec> cells;
+  /// One cell and what the queue knows of it.
+  struct Slot {
+    SweepCellSpec spec;
+    std::vector<std::size_t> dependents;  // cells that run after this one
+    // Its failure, kept for its dependents. Written under the queue's
+    // mutex before any dependent is made ready, and never again.
+    std::optional<CellFailure> failed;
+    bool done = false;  // ran; its dependents are ready. Under the mutex.
+  };
+
   SweepOptions opts;
   // The token the batch's cells chain to: the caller's own, unless the
   // batch needs a deadline of its own (or has no caller token). Every
@@ -390,14 +403,14 @@ struct CellQueue::Batch {
   const CancelToken* token;
   BatchSink sink;
   std::ostream* log;
-  std::vector<std::vector<std::size_t>> dependents;
-  // Failed cells, kept for the cells that run after them. Written under
-  // the queue's mutex before any dependent is made ready.
-  std::vector<std::optional<CellFailure>> failed;
   std::uint64_t seq = 0;
-  // Guarded by the queue's mutex:
+  // Guarded by the queue's mutex. A deque, so a running cell's slot stays
+  // put while the batch grows.
+  std::deque<Slot> cells;
+  CellLinks links;
   std::size_t queued = 0;    // cells in the ready heap
   std::size_t unlanded = 0;  // cells not yet handed to the sink
+  bool open = true;          // more cells may come
   bool started = false;
   std::mutex sink_mu;  // one sink call at a time
 };
@@ -421,29 +434,68 @@ CellQueue::~CellQueue() {
   pool_.drain();
 }
 
+CellQueue::Batch* CellQueue::open(const SweepOptions& opts, BatchSink sink,
+                                  std::ostream* log) {
+  opts.validate();
+  auto b = std::make_shared<Batch>(opts, std::move(sink), log);
+  if (opts.sweep_timeout > 0.0) b->own_token.set_timeout(opts.sweep_timeout);
+  std::scoped_lock lock(mu_);
+  b->seq = next_batch_++;
+  batches_.push_back(b);
+  return b.get();
+}
+
+void CellQueue::add(Batch* b, std::vector<SweepCellSpec> cells) {
+  std::scoped_lock lock(mu_);
+  AFS_CHECK(b->open);
+  const std::size_t first = b->cells.size();
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    CellLinks::check(cells[i], first + i);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::size_t k = first + i;
+    b->links.link(cells[i], k);
+    b->cells.push_back({std::move(cells[i]), {}, {}, false});
+    ++b->unlanded;
+    const int after = b->cells.back().spec.after;
+    if (after >= 0 && !b->cells[static_cast<std::size_t>(after)].done) {
+      b->cells[static_cast<std::size_t>(after)].dependents.push_back(k);
+      continue;
+    }
+    ready_.push_back({b->cells.back().spec.cost, b->seq, k, b});
+    std::push_heap(ready_.begin(), ready_.end());
+    ++b->queued;
+  }
+  work_cv_.notify_all();
+}
+
+void CellQueue::close(Batch* b) {
+  std::shared_ptr<Batch> retired;  // destroyed outside the lock
+  std::scoped_lock lock(mu_);
+  b->open = false;
+  if (b->unlanded == 0) retired = retire(*b);
+}
+
+std::shared_ptr<CellQueue::Batch> CellQueue::retire(Batch& b) {
+  const auto it = std::find_if(
+      batches_.begin(), batches_.end(),
+      [&b](const std::shared_ptr<Batch>& x) { return x.get() == &b; });
+  std::shared_ptr<Batch> retired = std::move(*it);
+  batches_.erase(it);
+  idle_cv_.notify_all();
+  return retired;
+}
+
 void CellQueue::submit(std::vector<SweepCellSpec> cells,
                        const SweepOptions& opts, BatchSink sink,
                        std::ostream* log) {
-  opts.validate();
-  if (cells.empty()) return;
-  auto b = std::make_shared<Batch>(std::move(cells), opts, std::move(sink),
-                                   log);
-  b->dependents = link_cells(b->cells);
-  if (opts.sweep_timeout > 0.0) b->own_token.set_timeout(opts.sweep_timeout);
-  {
-    std::scoped_lock lock(mu_);
-    b->seq = next_batch_++;
-    for (std::size_t k = 0; k < b->cells.size(); ++k) {
-      if (b->cells[k].after >= 0) continue;
-      ready_.push_back({b->cells[k].cost, b->seq, k, b.get()});
-      std::push_heap(ready_.begin(), ready_.end());
-      ++b->queued;
-    }
-    batches_.push_back(std::move(b));
-    // Under the lock: once it is released, a batch that already landed
-    // may let the queue's owner destroy the queue.
-    work_cv_.notify_all();
+  Batch* b = open(opts, std::move(sink), log);
+  try {
+    add(b, std::move(cells));
+  } catch (...) {
+    close(b);  // nothing was added
+    throw;
   }
+  close(b);
 }
 
 void CellQueue::post(std::function<void()> task) {
@@ -510,35 +562,37 @@ void CellQueue::worker_loop() {
 
 void CellQueue::run_cell(const Ready& r) {
   Batch& b = *r.owner;
+  Batch::Slot* slot = nullptr;
+  const Batch::Slot* pred = nullptr;
+  {
+    std::scoped_lock lock(mu_);  // the deque may be growing
+    slot = &b.cells[r.cell];
+    if (slot->spec.after >= 0)
+      pred = &b.cells[static_cast<std::size_t>(slot->spec.after)];
+  }
   CellOutcome o =
-      run_one(b.cells, b.failed, r.cell, *b.token, b.opts, log_mu_, b.log);
-  b.cells[r.cell].run = nullptr;
+      run_one(slot->spec, pred ? &pred->spec : nullptr,
+              pred ? &pred->failed : nullptr, *b.token, b.opts, log_mu_, b.log);
+  slot->spec.run = nullptr;
   {
     std::scoped_lock lock(mu_);
-    if (!o.result) b.failed[r.cell] = o.failure;
-    for (std::size_t d : b.dependents[r.cell]) {
-      ready_.push_back({b.cells[d].cost, b.seq, d, &b});
+    if (!o.result) slot->failed = o.failure;
+    slot->done = true;
+    for (std::size_t d : slot->dependents) {
+      ready_.push_back({b.cells[d].spec.cost, b.seq, d, &b});
       std::push_heap(ready_.begin(), ready_.end());
       ++b.queued;
     }
-    if (!b.dependents[r.cell].empty()) work_cv_.notify_all();
+    if (!slot->dependents.empty()) work_cv_.notify_all();
   }
   notify_sink(b.sink_mu, [&] { b.sink.on_done(r.cell, std::move(o)); });
 
-  // The last outcome retires the batch; it is destroyed outside the lock
-  // (its sink and closures may own a whole request's state).
+  // The last outcome of a closed batch retires it; it is destroyed
+  // outside the lock (its sink and closures may own a whole request's
+  // state).
   std::shared_ptr<Batch> retired;
-  {
-    std::scoped_lock lock(mu_);
-    if (--b.unlanded == 0) {
-      const auto it = std::find_if(
-          batches_.begin(), batches_.end(),
-          [&b](const std::shared_ptr<Batch>& x) { return x.get() == &b; });
-      retired = std::move(*it);
-      batches_.erase(it);
-      idle_cv_.notify_all();
-    }
-  }
+  std::scoped_lock lock(mu_);
+  if (--b.unlanded == 0 && !b.open) retired = retire(b);
 }
 
 void run_sweep(std::vector<SweepCellSpec> cells, const SweepOptions& opts,
@@ -556,7 +610,11 @@ void run_sweep(std::vector<SweepCellSpec> cells, const SweepOptions& opts,
     std::mutex log_mu;
     std::vector<std::optional<CellFailure>> failed(n);
     for (std::size_t k = 0; k < n; ++k) {
-      CellOutcome o = run_one(cells, failed, k, token, opts, log_mu, log);
+      const auto after = static_cast<std::size_t>(cells[k].after);
+      const bool pred = cells[k].after >= 0;
+      CellOutcome o = run_one(cells[k], pred ? &cells[after] : nullptr,
+                              pred ? &failed[after] : nullptr, token, opts,
+                              log_mu, log);
       cells[k].run = nullptr;
       if (!o.result) failed[k] = o.failure;
       on_done(k, std::move(o));

@@ -27,8 +27,10 @@
 // its cells, options, parent token and outcome sink — and all batches
 // run on the one worker pool: the earliest batch's costliest ready cell
 // first, a later batch's cells on the workers the earlier ones leave
-// idle. run_sweep() is one batch, waited for. Submitters may also post
-// plain tasks (a run's block renders), which workers take before cells.
+// idle. A batch may grow until it is closed, so a submitter can hand
+// over cells as it plans them. run_sweep() is one batch, waited for.
+// Submitters may also post plain tasks (a run's block renders), which
+// workers take before cells.
 // The store is the only checkpoint: a killed run resumes by rerunning
 // over the same store.
 //
@@ -155,20 +157,36 @@ struct BatchSink {
 /// before any cell.
 class CellQueue {
  public:
+  /// A batch: a handle from open(), valid until close().
+  struct Batch;
+
   explicit CellQueue(int workers);
-  /// Waits for every submitted batch to land, then joins the workers.
+  /// Waits for every batch to be closed and land, then joins the workers.
   ~CellQueue();
 
   CellQueue(const CellQueue&) = delete;
   CellQueue& operator=(const CellQueue&) = delete;
 
-  /// Adds `cells` as one batch under `opts` (its timeouts, retries and
-  /// parent token; `jobs` and `queue` are the queue's business) and
-  /// returns at once. Edges are checked here: throws CheckFailure on a
-  /// cell without a runner or label, or one that runs after a later
-  /// cell. Each cell's closure is released once it has run. Retry
-  /// notices and failures go to `log` when non-null. An empty batch is
-  /// never heard from.
+  /// Opens an empty batch under `opts` (its timeouts, retries and parent
+  /// token; `jobs` and `queue` are the queue's business). Retry notices
+  /// and failures go to `log` when non-null.
+  Batch* open(const SweepOptions& opts, BatchSink sink,
+              std::ostream* log = nullptr);
+
+  /// Appends `cells` to open `batch` and returns at once: they are
+  /// numbered after its earlier cells, rank by cost among all of them,
+  /// and may run after any earlier cell, a repeated key after its first
+  /// instance in any earlier add. Edges are checked first: throws
+  /// CheckFailure, adding nothing, on a cell without a runner or label,
+  /// or one that runs after a later cell. Each cell's closure is
+  /// released once it has run.
+  void add(Batch* batch, std::vector<SweepCellSpec> cells);
+
+  /// No more cells come: the batch lands once every cell added has. A
+  /// batch closed without cells is never heard from.
+  void close(Batch* batch);
+
+  /// open, add and close: `cells` as one batch.
   void submit(std::vector<SweepCellSpec> cells, const SweepOptions& opts,
               BatchSink sink, std::ostream* log = nullptr);
 
@@ -179,7 +197,6 @@ class CellQueue {
   void post(std::function<void()> task);
 
  private:
-  struct Batch;
   struct Ready {
     double cost;
     std::uint64_t batch;  // submission order
@@ -196,13 +213,15 @@ class CellQueue {
   void take_cancelled(std::vector<Ready>& doomed);
   /// Runs (or fails) one popped cell and hands its outcome over.
   void run_cell(const Ready& r);
+  /// Pre: mu_ held; b is closed and landed. Takes b out of batches_.
+  std::shared_ptr<Batch> retire(Batch& b);
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // a cell or task became ready, or stop_
-  std::condition_variable idle_cv_;  // a batch fully landed
+  std::condition_variable idle_cv_;  // a batch closed and fully landed
   std::vector<Ready> ready_;         // max-heap by Ready::operator<
   std::deque<std::function<void()>> tasks_;  // posted, not started
-  std::vector<std::shared_ptr<Batch>> batches_;  // submitted, not landed
+  std::vector<std::shared_ptr<Batch>> batches_;  // opened, not landed
   std::uint64_t next_batch_ = 0;
   bool stop_ = false;
   std::mutex log_mu_;  // one log line at a time, across batches
@@ -212,9 +231,8 @@ class CellQueue {
 /// Sets the edges of a batch — a cell keeps an explicit `after`, else a
 /// repeated key runs after its first instance — and checks them: throws
 /// CheckFailure on a cell without a runner or label, or one that runs
-/// after a later cell. Returns each cell's dependents.
-std::vector<std::vector<std::size_t>> link_cells(
-    std::vector<SweepCellSpec>& cells);
+/// after a later cell.
+void link_cells(std::vector<SweepCellSpec>& cells);
 
 /// Runs `cells` as one batch under `opts` and waits for it: on
 /// opts.queue when set, else with jobs > 1 on a private queue, costliest

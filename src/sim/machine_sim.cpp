@@ -40,16 +40,25 @@ double MachineSim::ideal_serial_time(const LoopProgram& program) const {
   double total = 0.0;
   for (int e = 0; e < program.epochs; ++e) {
     for (const ParallelLoopSpec& spec : program.epoch_loops(e)) {
-      const double w = spec.uniform_work;
-      const double sum = total + static_cast<double>(spec.n) * w;
       if (spec.work_sum && !spec.footprint) {
         total += spec.work_sum(0, spec.n);
-      } else if (w > 0.0 && exact_integer(w) && exact_integer(total) &&
-                 exact_integer(sum)) {
-        // n equal terms added one at a time. When the term, the running
-        // total and the final sum are integers below 2^53, so is every
-        // partial sum: each addition is exact, and one multiply matches.
-        total = sum;
+        continue;
+      }
+      // n terms added one at a time. When every term, the running total
+      // and the loop's sum are integers below 2^53, so is every partial
+      // sum: each addition is exact, and adding the sum at once matches.
+      // A uniform loop's terms are its uniform_work; a work_sum beside a
+      // footprint promises whole-number terms (loop_spec.hpp).
+      double sum = -1.0;  // not known to be a sum of whole numbers
+      if (spec.uniform_work > 0.0) {
+        if (exact_integer(spec.uniform_work))
+          sum = static_cast<double>(spec.n) * spec.uniform_work;
+      } else if (spec.work_sum) {
+        sum = spec.work_sum(0, spec.n);
+      }
+      if (exact_integer(total) && exact_integer(sum) &&
+          exact_integer(total + sum)) {
+        total += sum;
       } else {
         for (std::int64_t i = 0; i < spec.n; ++i) total += spec.work(i);
       }

@@ -58,34 +58,47 @@ std::string perturb_key(const PerturbationConfig& p) {
   return os.str();
 }
 
-CellKey make_cell_key(const MachineConfig& machine,
-                      const std::string& program_key,
-                      const std::string& scheduler_key, int procs,
-                      const SimOptions& options) {
-  CellKey key;
-  key.cacheable = !program_key.empty() && !scheduler_key.empty() &&
-                  options.trace == nullptr && !options.time_phases;
-
+CellKeyPrefix::CellKeyPrefix(const MachineConfig& machine,
+                             const SimOptions& options)
+    : storable_(options.trace == nullptr && !options.time_phases) {
+  std::ostringstream head;
+  head << kKeySchema << '\n'
+       << "engine " << kEngineVersion << '\n'
+       << machine_key(machine) << '\n';
+  head_ = std::move(head).str();
   // The engine toggles (batching, memory fast path, calendar queue,
   // epoch batching) are part of the key even though all are proven
   // bit-identical: tab7's batching A/B invariant check must actually run
   // both engines, not be served the first one's result twice.
-  std::ostringstream os;
-  os << kKeySchema << '\n'
-     << "engine " << kEngineVersion << '\n'
-     << machine_key(machine) << '\n'
-     << "program " << program_key << '\n'
-     << "scheduler " << scheduler_key << '\n'
-     << "procs " << procs << '\n'
-     << "jitter_seed " << options.jitter_seed << '\n'
-     << "batch " << (options.batch_iterations ? 1 : 0) << '\n'
-     << "memfast " << (options.memory_fast_path ? 1 : 0) << '\n'
-     << "calendar " << (options.calendar_queue ? 1 : 0) << '\n'
-     << "epochbatch " << (options.epoch_batch ? 1 : 0) << '\n'
-     << perturb_key(options.perturb) << '\n';
-  key.text = os.str();
+  std::ostringstream tail;
+  tail << "jitter_seed " << options.jitter_seed << '\n'
+       << "batch " << (options.batch_iterations ? 1 : 0) << '\n'
+       << "memfast " << (options.memory_fast_path ? 1 : 0) << '\n'
+       << "calendar " << (options.calendar_queue ? 1 : 0) << '\n'
+       << "epochbatch " << (options.epoch_batch ? 1 : 0) << '\n'
+       << perturb_key(options.perturb) << '\n';
+  tail_ = std::move(tail).str();
+}
+
+CellKey CellKeyPrefix::key(const std::string& program_key,
+                           const std::string& scheduler_key,
+                           int procs) const {
+  CellKey key;
+  key.cacheable =
+      storable_ && !program_key.empty() && !scheduler_key.empty();
+  key.text = head_ + "program " + program_key + "\nscheduler " +
+             scheduler_key + "\nprocs " + std::to_string(procs) + '\n' +
+             tail_;
   key.hash = fnv1a64(key.text);
   return key;
+}
+
+CellKey make_cell_key(const MachineConfig& machine,
+                      const std::string& program_key,
+                      const std::string& scheduler_key, int procs,
+                      const SimOptions& options) {
+  return CellKeyPrefix(machine, options).key(program_key, scheduler_key,
+                                             procs);
 }
 
 }  // namespace afs

@@ -47,8 +47,25 @@ std::string machine_key(const MachineConfig& machine);
 /// stalls, losses, spikes, bursts). Exposed for tests.
 std::string perturb_key(const PerturbationConfig& perturb);
 
-/// Builds the key for one cell. `program_key` is LoopProgram::key;
-/// `scheduler_key` is the scheduler's spec string or caller tag.
+/// The lines of a cell key that depend only on the machine and the
+/// options, rendered once: a plan keys every cell it runs on one machine
+/// under one set of options from one prefix.
+class CellKeyPrefix {
+ public:
+  CellKeyPrefix(const MachineConfig& machine, const SimOptions& options);
+
+  /// The key of one cell: `program_key` is LoopProgram::key;
+  /// `scheduler_key` is the scheduler's spec string or caller tag.
+  CellKey key(const std::string& program_key,
+              const std::string& scheduler_key, int procs) const;
+
+ private:
+  std::string head_;  // schema, engine and machine lines
+  std::string tail_;  // option and perturbation lines
+  bool storable_;     // neither traced nor host-timed
+};
+
+/// Builds the key for one cell: CellKeyPrefix(machine, options).key(...).
 CellKey make_cell_key(const MachineConfig& machine,
                       const std::string& program_key,
                       const std::string& scheduler_key, int procs,

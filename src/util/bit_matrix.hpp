@@ -3,6 +3,8 @@
 // trace ORs whole rows; see kernels/transitive_closure.hpp).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,6 +34,22 @@ class BitMatrix {
   void set(std::int64_t r, std::int64_t c) {
     AFS_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     bits_[index(r, c)] |= std::uint64_t{1} << (c % 64);
+  }
+
+  /// How many bits of row r are set in columns [b, e).
+  std::int64_t count(std::int64_t r, std::int64_t b, std::int64_t e) const {
+    AFS_DCHECK(r >= 0 && r < rows_ && 0 <= b && b <= e && e <= cols_);
+    std::int64_t n = 0;
+    for (std::int64_t c = b; c < e;) {
+      // The bits of one word from column c up to e or the word's end.
+      const std::int64_t end = std::min(e, (c / 64 + 1) * 64);
+      const int width = static_cast<int>(end - c);
+      std::uint64_t bits = bits_[index(r, c)] >> (c % 64);
+      if (width < 64) bits &= (std::uint64_t{1} << width) - 1;
+      n += std::popcount(bits);
+      c = end;
+    }
+    return n;
   }
 
   /// Row r's words; bits past cols() are always zero.

@@ -44,7 +44,10 @@ struct ParallelLoopSpec {
 
   /// Optional analytic sum of work over [b, e). When present and the loop
   /// has no footprint, the simulator charges whole chunks in O(1), which
-  /// makes the 200-million-iteration loop of Table 2 simulable.
+  /// makes the 200-million-iteration loop of Table 2 simulable. Beside a
+  /// footprint only the ideal serial time reads it, and then every term
+  /// must be a whole number and the sum exact, so that adding it in one
+  /// step matches adding the terms one at a time.
   std::function<double(std::int64_t b, std::int64_t e)> work_sum;
 };
 

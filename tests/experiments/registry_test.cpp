@@ -3,7 +3,10 @@
 // run of several experiments (blocks in registry order whichever thread
 // renders them, repeated keys served from the store, stored cells served
 // at admission, a failing table or plan reported rather than fatal, no
-// render once the caller's token fired).
+// render once the caller's token fired). Under --jobs the run streams:
+// each experiment's cells run while the next is planned, and a rendered
+// block prints at once. Plans key their cells from one prefix, and share
+// one build of each registered transitive-closure program.
 // End-to-end coverage of a whole pass lives in CI's sweep-service job and
 // the perf/ smoke test; these tests pin the registry contract itself.
 #include "experiments/registry.hpp"
@@ -12,10 +15,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -26,6 +32,8 @@
 #include "sched/registry.hpp"
 #include "store/result_store.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
+#include "workload/graphs.hpp"
 
 namespace fs = std::filesystem;
 
@@ -80,12 +88,12 @@ TEST(Registry, RunCellCachedServesTheSecondLookup) {
 
   const SharedProgram program(balanced_program(256));
   const SimResult cold =
-      run_now(table_cell(ctx, "AFS", iris(), program, "AFS", 4));
+      run_now(table_cell(ctx, "AFS", SharedMachine(iris()), program, "AFS", 4));
   EXPECT_EQ(store.hits(), 0);
   EXPECT_EQ(store.writes(), 1);
 
   const SimResult warm =
-      run_now(table_cell(ctx, "AFS", iris(), program, "AFS", 4));
+      run_now(table_cell(ctx, "AFS", SharedMachine(iris()), program, "AFS", 4));
   EXPECT_EQ(store.hits(), 1);
   EXPECT_EQ(warm.makespan, cold.makespan);
   EXPECT_EQ(warm.iterations, cold.iterations);
@@ -94,7 +102,8 @@ TEST(Registry, RunCellCachedServesTheSecondLookup) {
   // No store in the context: same numbers, nothing served or written.
   ExperimentContext bare;
   const SimResult direct =
-      run_now(table_cell(bare, "AFS", iris(), program, "AFS", 4));
+      run_now(table_cell(bare, "AFS", SharedMachine(iris()), program, "AFS",
+                         4));
   EXPECT_EQ(direct.makespan, cold.makespan);
   EXPECT_EQ(store.writes(), 1);
 }
@@ -107,11 +116,11 @@ TEST(Registry, RunCellCachedKeysEngineToggles) {
   ctx.store = &store;
   const SharedProgram program(balanced_program(128));
   const SweepCellSpec batched =
-      table_cell(ctx, "GSS", iris(), program, "GSS", 2);
+      table_cell(ctx, "GSS", SharedMachine(iris()), program, "GSS", 2);
   SimOptions unbatched;
   unbatched.batch_iterations = false;
-  const SweepCellSpec ab =
-      table_cell(ctx, "GSS", iris(), program, "GSS", 2, unbatched);
+  const SweepCellSpec ab = table_cell(
+      ctx, "GSS", SharedMachine(iris(), unbatched), program, "GSS", 2);
   EXPECT_NE(batched.key, ab.key);  // distinct keys: never queue-linked
   run_now(batched);
   run_now(ab);
@@ -407,7 +416,7 @@ TEST(RunQueue, FailingTableCellReportsInsteadOfCrashing) {
       "broken_table", "A table with a failing cell", {"broken_table"},
       [](const ExperimentContext& ctx) {
         ExperimentPlan plan;
-        plan.cells.push_back(table_cell(ctx, "AFS", iris(),
+        plan.cells.push_back(table_cell(ctx, "AFS", SharedMachine(iris()),
                                         SharedProgram(balanced_program(64)),
                                         "AFS", 2));
         plan.cells.push_back({"BROKEN", 2, [](const CancelToken&) -> SimResult {
@@ -451,6 +460,293 @@ TEST(RunQueue, FailingTableCellReportsInsteadOfCrashing) {
               std::string::npos)
         << text.str();
     EXPECT_TRUE(fs::exists(dir + "/fig10.csv"));
+  }
+}
+
+/// A stream buffer that workers may write while another thread reads it.
+class SharedText final : public std::streambuf {
+ public:
+  bool contains(const std::string& part) {
+    std::scoped_lock lock(mu_);
+    return text_.find(part) != std::string::npos;
+  }
+
+ protected:
+  int overflow(int c) override {
+    if (c != traits_type::eof()) {
+      std::scoped_lock lock(mu_);
+      text_ += static_cast<char>(c);
+    }
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    std::scoped_lock lock(mu_);
+    text_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+
+ private:
+  std::mutex mu_;
+  std::string text_;
+};
+
+/// Waits up to ten seconds for `ready`; returns whether it came true.
+bool wait_for(const std::function<bool()>& ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// A cell of cost `cost` that runs `body`.
+SweepCellSpec cell_of(std::string label, double cost,
+                      std::function<void()> body = [] {}) {
+  SweepCellSpec c;
+  c.label = std::move(label);
+  c.procs = 1;
+  c.cost = cost;
+  c.run = [body = std::move(body)](const CancelToken&) {
+    body();
+    return SimResult{};
+  };
+  return c;
+}
+
+/// An experiment whose plan is `cells()` and whose render prints
+/// "<id> rendered".
+Experiment scripted(const std::string& id,
+                    std::function<std::vector<SweepCellSpec>()> cells) {
+  Experiment e;
+  e.id = id;
+  e.title = "scripted";
+  e.kind = ExperimentKind::kTable;
+  e.csv_ids = {id};
+  e.plan = [id, cells = std::move(cells)](const ExperimentContext&) {
+    ExperimentPlan plan;
+    plan.cells = cells();
+    plan.render = [id](std::vector<CellOutcome>&, std::ostream& out,
+                       std::ostream&) {
+      out << id << " rendered\n";
+      return 0;
+    };
+    return plan;
+  };
+  return e;
+}
+
+TEST(StreamedRun, AnEarlierCellRunsWhileALaterExperimentPlans) {
+  // Under --jobs each experiment's cells go to the workers as soon as it
+  // is planned, so the second plan sees the first experiment's cell run.
+  // Planning every experiment before the first cell starts would leave
+  // the bounded wait to time out.
+  std::atomic<bool> ran{false};
+  bool seen = false;
+  const Experiment first = scripted("first", [&] {
+    return std::vector<SweepCellSpec>{cell_of("A", 1.0, [&] { ran = true; })};
+  });
+  const Experiment second = scripted("second", [&] {
+    seen = wait_for([&] { return ran.load(); });
+    return std::vector<SweepCellSpec>{cell_of("B", 1.0)};
+  });
+  ExperimentContext ctx;
+  ctx.cli.out_dir = fresh_dir("streamed_plan");
+  ctx.cli.jobs = 2;
+  std::ostringstream out;
+  EXPECT_EQ(run_experiments({&first, &second}, ctx, out),
+            (std::vector<int>{0, 0}));
+  EXPECT_TRUE(seen);
+  EXPECT_EQ(out.str(),
+            "== first: scripted ==\nfirst rendered\n"
+            "== second: scripted ==\nsecond rendered\n");
+}
+
+TEST(StreamedRun, ARenderedBlockPrintsBeforeLaterCellsLand) {
+  // The second experiment's cell holds its worker until the first block
+  // is out: a finished render prints its block at once, not at the next
+  // landing.
+  SharedText text;
+  std::ostream out(&text);
+  std::atomic<bool> seen{false};
+  const Experiment first = scripted(
+      "first", [] { return std::vector<SweepCellSpec>{cell_of("A", 1.0)}; });
+  const Experiment second = scripted("second", [&] {
+    return std::vector<SweepCellSpec>{cell_of("B", 1.0, [&] {
+      seen = wait_for([&] { return text.contains("first rendered\n"); });
+    })};
+  });
+  ExperimentContext ctx;
+  ctx.cli.out_dir = fresh_dir("streamed_print");
+  ctx.cli.jobs = 2;
+  EXPECT_EQ(run_experiments({&first, &second}, ctx, out),
+            (std::vector<int>{0, 0}));
+  EXPECT_TRUE(seen.load());
+  EXPECT_TRUE(text.contains("second rendered\n"));
+}
+
+TEST(StreamedRun, OneWorkerStartsALaterPlansCostlierCellFirst) {
+  // A run's cells share one batch that grows as experiments are planned,
+  // so the costliest ready cell starts first whichever experiment planned
+  // it. On one worker the first cell holds it until the third plan, so
+  // the first two experiments' cells are all queued by then: the
+  // second's costly cell starts before the first's cheaper ones.
+  std::mutex mu;
+  std::vector<std::string> started;
+  std::atomic<bool> third_planned{false};
+  const auto cell = [&](const std::string& label, double cost,
+                        std::function<void()> body = [] {}) {
+    return cell_of(label, cost, [&, label, body] {
+      {
+        std::scoped_lock lock(mu);
+        started.push_back(label);
+      }
+      body();
+    });
+  };
+  const Experiment first = scripted("first", [&] {
+    return std::vector<SweepCellSpec>{
+        cell("hold", 100.0,
+             [&] { wait_for([&] { return third_planned.load(); }); }),
+        cell("cheap1", 1.0), cell("cheap2", 1.0)};
+  });
+  const Experiment second = scripted("second", [&] {
+    return std::vector<SweepCellSpec>{cell("costly", 50.0)};
+  });
+  const Experiment third = scripted("third", [&] {
+    third_planned = true;
+    return std::vector<SweepCellSpec>{};
+  });
+  ExperimentContext ctx;
+  ctx.cli.out_dir = fresh_dir("streamed_order");
+  std::ostringstream out;
+  ExperimentRun run({&first, &second, &third}, ctx, out);
+  CellQueue queue(1);
+  run.stream(queue, SweepOptions{});
+  run.finish();
+  EXPECT_EQ(started,
+            (std::vector<std::string>{"hold", "costly", "cheap1", "cheap2"}));
+  EXPECT_EQ(run.codes(), (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(headers_of(out.str()).size(), 3u) << out.str();
+}
+
+/// A store that records every key a cell looks up and serves nothing:
+/// while probing, a cell stops at its lookup.
+class KeyRecorder final : public CellStore {
+ public:
+  bool load(const CellKey& key, SimResult&) override {
+    texts.push_back(key.text);
+    return false;
+  }
+  void save(const CellKey&, const SimResult&) override {}
+  bool probing() const override { return true; }
+  std::vector<std::string> texts;
+};
+
+TEST(Registry, PlannedKeysAreTheKeysCellsLookUp) {
+  // Plans key their cells from one prefix per machine and options. Every
+  // registered cell with a plan-time key looks up exactly that key when
+  // it runs; a figure cell's text is make_cell_key's; and the texts are
+  // byte for byte those of the builds before the prefix, whose digest is
+  // pinned here: a store primed by an earlier build serves this one.
+  KeyRecorder store;
+  ExperimentContext ctx;
+  ctx.store = &store;
+  ctx.cli.out_dir = fresh_dir("registry_keys");
+  const CancelToken token;
+  std::uint64_t digest = kFnvOffsetBasis;
+  int keyed = 0;
+  for (const Experiment& e : all_experiments()) {
+    ExperimentPlan plan = e.plan(ctx);
+    const std::optional<FigureSpec> spec =
+        e.make_spec ? std::optional<FigureSpec>(e.make_spec()) : std::nullopt;
+    for (std::size_t k = 0; k < plan.cells.size(); ++k) {
+      const SweepCellSpec& c = plan.cells[k];
+      if (c.key == 0) continue;  // tab7's fault ladder keys cells as they run
+      store.texts.clear();
+      c.run(token);
+      ASSERT_EQ(store.texts.size(), 1u) << e.id << " cell " << k;
+      const std::string& text = store.texts.front();
+      EXPECT_EQ(fnv1a64(text), c.key) << e.id << " cell " << k;
+      if (spec) {
+        const std::size_t np = spec->procs.size();
+        EXPECT_EQ(text, make_cell_key(spec->machine, spec->program.key,
+                                      spec->schedulers[k / np].key,
+                                      spec->procs[k % np], spec->sim_options)
+                            .text)
+            << e.id << " cell " << k;
+      }
+      digest = fnv1a64(text, digest);
+      ++keyed;
+    }
+  }
+  EXPECT_EQ(keyed, 1042);
+  EXPECT_EQ(hex64(digest), "c239461234b634b7");
+}
+
+TEST(SharedClosure, PlansHoldTheOneRegisteredTrace) {
+  // fig06, tab4 and ablation_afs run clique(640,320); fig16 and
+  // ablation_afs clique(1024,409). Each plan (and fig06's BEST-STATIC
+  // oracle) holds the one registered trace of its graph rather than a
+  // build of its own: every plan adds an owner to that trace, and
+  // dropping the plans gives them back.
+  ExperimentContext ctx;
+  ctx.cli.out_dir = fresh_dir("shared_closure");
+  const auto held_by = [&ctx](ClosureGraph graph,
+                              const std::vector<std::string>& ids) {
+    const std::shared_ptr<const BitMatrix>& trace =
+        registered_closure(graph).trace;
+    const long idle = trace.use_count();
+    std::vector<ExperimentPlan> plans;
+    for (const std::string& id : ids) {
+      const long before = trace.use_count();
+      plans.push_back(find_experiment(id)->plan(ctx));
+      EXPECT_GT(trace.use_count(), before) << id;
+    }
+    plans.clear();
+    EXPECT_EQ(trace.use_count(), idle);
+  };
+  held_by(ClosureGraph::kClique640, {"fig06", "tab4", "ablation_afs"});
+  held_by(ClosureGraph::kClique1024, {"fig16", "ablation_afs"});
+}
+
+TEST(SharedClosure, KeysMatchAFreshBuild) {
+  const std::vector<std::pair<ClosureGraph, BoolMatrix>> graphs{
+      {ClosureGraph::kRandom512, random_graph(512, 0.08, 1992)},
+      {ClosureGraph::kClique320, clique_graph(320, 160)},
+      {ClosureGraph::kClique640, clique_graph(640, 320)},
+      {ClosureGraph::kClique1024, clique_graph(1024, 409)}};
+  for (const auto& [graph, matrix] : graphs) {
+    const ClosureProgram& shared = registered_closure(graph);
+    const LoopProgram fresh = TransitiveClosureKernel::program(matrix);
+    EXPECT_EQ(shared.program.key, fresh.key);
+    EXPECT_EQ(shared.program.name, fresh.name);
+    EXPECT_EQ(shared.program.epochs, fresh.epochs);
+    EXPECT_EQ(shared.trace->rows(), matrix.rows());
+  }
+}
+
+TEST(SharedClosure, BuiltOnceUnderConcurrentFirstUse) {
+  // Daemon readers plan concurrently: four threads asking for a graph's
+  // program for the first time at once all get the one build.
+  constexpr int kThreads = 4;
+  std::atomic<int> waiting{kThreads};
+  std::vector<const ClosureProgram*> seen(kThreads);
+  std::vector<const BitMatrix*> traces(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      --waiting;
+      while (waiting.load() > 0) std::this_thread::yield();
+      const ClosureProgram& c = registered_closure(ClosureGraph::kClique320);
+      seen[static_cast<std::size_t>(t)] = &c;
+      traces[static_cast<std::size_t>(t)] = c.trace.get();
+    });
+  for (std::thread& t : threads) t.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]);
+    EXPECT_EQ(traces[static_cast<std::size_t>(t)], traces[0]);
   }
 }
 

@@ -152,6 +152,27 @@ TEST(TransitiveClosure, ProgramCostsFollowTrace) {
   EXPECT_DOUBLE_EQ(spec.work(12), 1.0);  // outside clique: O(1)
 }
 
+TEST(TransitiveClosure, WorkSumCountsTheTraceRow) {
+  // With whole-number terms each loop's work_sum is one popcount of the
+  // epoch's trace row; over any range it equals adding work(i), across
+  // word boundaries too. Fractional terms get no work_sum.
+  const auto prog = TransitiveClosureKernel::program(clique_graph(150, 70));
+  for (int k : {0, 1, 69, 70, 149}) {
+    const ParallelLoopSpec spec = prog.epoch_loops(k)[0];
+    ASSERT_TRUE(spec.work_sum) << k;
+    for (const auto& [b, e] : std::vector<std::pair<int, int>>{
+             {0, 150}, {0, 0}, {5, 64}, {63, 65}, {64, 128}, {70, 70},
+             {1, 149}, {100, 150}}) {
+      double sum = 0.0;
+      for (std::int64_t j = b; j < e; ++j) sum += spec.work(j);
+      EXPECT_EQ(spec.work_sum(b, e), sum) << k << " [" << b << ", " << e << ")";
+    }
+  }
+  EXPECT_FALSE(TransitiveClosureKernel::program(clique_graph(10, 4), 0.25)
+                   .epoch_loops(0)[0]
+                   .work_sum);
+}
+
 TEST(TransitiveClosure, ProgramFootprintOnlyForActive) {
   const auto g = clique_graph(16, 8);
   const auto prog = TransitiveClosureKernel::program(g);

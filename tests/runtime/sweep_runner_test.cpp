@@ -19,6 +19,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "experiments/figure.hpp"
@@ -525,6 +526,54 @@ TEST(SweepRunner, PostedTaskRunsBeforeQueuedCells) {
   }
   EXPECT_EQ(order, (std::vector<std::string>{"A", "task", "B", "C"}));
   EXPECT_TRUE(last_ran);
+}
+
+TEST(SweepRunner, BatchGrowsUntilClosed) {
+  // Cells added to an open batch join its cells already queued: a key
+  // repeated from an earlier add runs after its first instance, even on
+  // an idle worker; an add with a bad edge adds nothing; a batch closed
+  // without cells is never heard from.
+  CellQueue queue(2);
+  queue.close(queue.open(SweepOptions{}, {}));
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::size_t> landed;
+  CellQueue::Batch* batch = queue.open(
+      SweepOptions{}, {nullptr, [&](std::size_t k, CellOutcome o) {
+                         EXPECT_TRUE(o.result) << k;
+                         std::scoped_lock lock(mu);
+                         landed.push_back(k);
+                         cv.notify_all();
+                       }});
+  std::atomic<bool> second_added{false}, first_done{false}, ordered{false};
+  std::vector<SweepCellSpec> first = synthetic_cells({"A"}, {1});
+  first[0].key = 7;
+  first[0].run = [&](const CancelToken&) {
+    while (!second_added) std::this_thread::yield();
+    first_done = true;
+    return synthetic_result("A", 1);
+  };
+  queue.add(batch, std::move(first));
+
+  std::vector<SweepCellSpec> bad = synthetic_cells({"X", "Y"}, {1});
+  bad[0].after = 2;  // cell 1 of the batch runs after cell 2
+  EXPECT_THROW(queue.add(batch, std::move(bad)), CheckFailure);
+
+  std::vector<SweepCellSpec> second = synthetic_cells({"A"}, {1});
+  second[0].key = 7;
+  second[0].cost = 100.0;
+  second[0].run = [&](const CancelToken&) {
+    ordered = first_done.load();
+    return synthetic_result("A", 1);
+  };
+  queue.add(batch, std::move(second));
+  second_added = true;
+  queue.close(batch);
+  std::unique_lock lock(mu);
+  cv.wait(lock, [&] { return landed.size() == 2; });
+  std::sort(landed.begin(), landed.end());  // sinks may land in any order
+  EXPECT_EQ(landed, (std::vector<std::size_t>{0, 1}));
+  EXPECT_TRUE(ordered.load());
 }
 
 TEST(SweepRunner, RepeatedKeyRunsAfterItsFirstInstance) {

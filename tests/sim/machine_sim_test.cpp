@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "experiments/grid.hpp"
 #include "experiments/registry.hpp"
 #include "kernels/gauss.hpp"
 #include "kernels/synthetic.hpp"
+#include "kernels/transitive_closure.hpp"
 #include "machines/machines.hpp"
 #include "sched/registry.hpp"
+#include "workload/graphs.hpp"
 
 namespace afs {
 namespace {
@@ -66,11 +70,12 @@ double serial_time_by_iteration(const MachineConfig& m,
 }
 
 TEST(MachineSim, IdealSerialTimeClosedFormIsExact) {
-  // A uniform-work loop is summed in one multiply when that is exact.
+  // A uniform-work loop is summed in one multiply, and a transitive-
+  // closure epoch from one popcount of its trace row, when that is exact.
   // Every speedup column divides by this time, so it must equal the
-  // per-iteration sum bit for bit: on every registered figure, on tab6's
-  // Gauss N=4096, and on grid kernels whose fractional WORK takes the
-  // per-iteration fallback.
+  // per-iteration sum bit for bit: on every registered figure (fig05,
+  // fig06 and fig16 are closures), on tab6's Gauss N=4096, and on grid
+  // kernels, where fractional WORK takes the per-iteration fallback.
   const auto check = [](const MachineConfig& m, const LoopProgram& p,
                         const std::string& what) {
     EXPECT_EQ(MachineSim(m).ideal_serial_time(p),
@@ -89,8 +94,29 @@ TEST(MachineSim, IdealSerialTimeClosedFormIsExact) {
   for (const char* kernel :
        {"gauss:300", "gauss:300,0.3", "gauss:257,3", "gauss:100,0.1",
         "sor:200,4", "sor:200,4,1.5", "sor:64,3,0.1", "adjoint:64,0.7",
-        "balanced:1000,0.1", "triangular:500"})
+        "balanced:1000,0.1", "triangular:500", "tc-random:300,0.05,7",
+        "tc-clique:130,50"})
     check(iris(), parse_kernel_spec(kernel), kernel);
+  check(iris(), TransitiveClosureKernel::program(clique_graph(90, 40), 0.25),
+        "tc w=0.25");
+}
+
+TEST(MachineSim, ClosureSerialTimeSkipsTheIterations) {
+  // fig16's closure has 1024 epochs of 1024 iterations: its serial time
+  // reads one popcount per epoch and never calls work(i).
+  const LoopProgram& closure =
+      registered_closure(ClosureGraph::kClique1024).program;
+  LoopProgram counted = closure;
+  counted.epoch_loops = [loops = closure.epoch_loops](int e) {
+    std::vector<ParallelLoopSpec> specs = loops(e);
+    for (ParallelLoopSpec& s : specs)
+      s.work = [](std::int64_t) -> double {
+        throw std::logic_error("work(i) called");
+      };
+    return specs;
+  };
+  EXPECT_EQ(MachineSim(ksr1()).ideal_serial_time(counted),
+            serial_time_by_iteration(ksr1(), closure));
 }
 
 TEST(MachineSim, DeterministicAcrossRuns) {

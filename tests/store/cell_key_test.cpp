@@ -81,6 +81,43 @@ TEST(CellKey, EveryInputChangesTheHash) {
   EXPECT_NE(base_key(perturbed).hash, base.hash);
 }
 
+TEST(CellKey, TextLayoutIsPinned) {
+  // Stored entries are found by this exact text: one line per input, in
+  // this order. Changing it orphans every stored entry.
+  SimOptions options;
+  options.jitter_seed = 7;
+  options.memory_fast_path = false;
+  options.perturb.stall_mean_interval = 100.0;
+  const std::string expected =
+      std::string("afs-store-key-v1\nengine ") + kEngineVersion + "\n" +
+      machine_key(iris()) +
+      "\nprogram balanced(n=64,u=0x1p+0)\nscheduler AFS\nprocs 4\n"
+      "jitter_seed 7\nbatch 1\nmemfast 0\ncalendar 1\nepochbatch 1\n" +
+      perturb_key(options.perturb) + "\n";
+  EXPECT_EQ(base_key(options).text, expected);
+}
+
+TEST(CellKey, OnePrefixKeysEveryCellOfAPlan) {
+  // A prefix renders the machine and option lines once; the keys it makes
+  // are make_cell_key's, cacheability included.
+  SimOptions perturbed;
+  perturbed.perturb.start_delays = {0.0, 12.5};
+  SimOptions timed;
+  timed.time_phases = true;
+  for (const SimOptions& options : {SimOptions{}, perturbed, timed}) {
+    const CellKeyPrefix prefix(ksr1(), options);
+    for (const char* scheduler : {"AFS", "GSS", ""})
+      for (int procs : {1, 57}) {
+        const CellKey a = prefix.key("gauss(n=64)", scheduler, procs);
+        const CellKey b =
+            make_cell_key(ksr1(), "gauss(n=64)", scheduler, procs, options);
+        EXPECT_EQ(a.text, b.text);
+        EXPECT_EQ(a.hash, b.hash);
+        EXPECT_EQ(a.cacheable, b.cacheable);
+      }
+  }
+}
+
 TEST(CellKey, UnknownIdentityIsUncacheable) {
   EXPECT_FALSE(make_cell_key(iris(), "", "AFS", 4, {}).cacheable);
   EXPECT_FALSE(
