@@ -155,6 +155,7 @@ std::uint64_t key_hash(const CellKey& key) {
 }
 
 double program_cost(const LoopProgram& program) {
+  if (program.cost > 0.0) return program.cost;
   double cost = 0.0;
   for (int e = 0; e < program.epochs; ++e)
     for (const ParallelLoopSpec& loop : program.epoch_loops(e))

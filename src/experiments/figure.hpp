@@ -141,7 +141,8 @@ FigureResult run_figure(const FigureSpec& spec, std::ostream& out,
 /// Host-cost estimate of simulating `program`, per processor: the
 /// iterations the engine steps one at a time (a footprint-free loop with
 /// an analytic work_sum is charged per chunk, counted as one). A cell's
-/// queue cost is this times its P.
+/// queue cost is this times its P. A program that states its cost
+/// (LoopProgram::cost) is not expanded.
 double program_cost(const LoopProgram& program);
 
 /// A cell's SweepCellSpec::key: the key's hash, or 0 when uncacheable.

@@ -9,7 +9,6 @@
 #include "experiments/registry.hpp"
 #include "kernels/adjoint_convolution.hpp"
 #include "kernels/gauss.hpp"
-#include "kernels/l4.hpp"
 #include "kernels/sor.hpp"
 #include "machines/machines.hpp"
 #include "sched/static_scheduler.hpp"
@@ -19,10 +18,12 @@ namespace afs {
 namespace {
 
 /// The BEST-STATIC oracle for transitive closure: per-epoch costs from the
-/// precomputed activity trace. Its store key is sound because the program
+/// graph's activity trace, which the factory reads (building it on first
+/// read) when a cell simulates. Its store key is sound because the program
 /// key embeds a content hash of the same graph the trace derives from.
-SchedulerEntry tc_best_static(std::shared_ptr<const BitMatrix> trace) {
-  return entry("BEST-STATIC", "BEST-STATIC@tc-trace", [trace] {
+SchedulerEntry tc_best_static(std::shared_ptr<const Lazy<BitMatrix>> lazy) {
+  return entry("BEST-STATIC", "BEST-STATIC@tc-trace", [lazy] {
+    const std::shared_ptr<const BitMatrix> trace = shared_value(lazy);
     return std::make_unique<BestStaticScheduler>(
         EpochCostProvider([trace](int epoch) {
           return IterationCostFn([trace, epoch](std::int64_t j) {
@@ -246,12 +247,11 @@ void register_iris_experiments(std::vector<Experiment>& experiments) {
   experiments.push_back(figure_experiment(
       "fig09", "L4 hybrid benchmark on the Iris",
       [] {
-        L4Kernel l4;  // the paper's 50 outer iterations
         FigureSpec spec;
         spec.id = "fig09";
         spec.title = "L4 hybrid benchmark on the Iris";
         spec.machine = iris();
-        spec.program = l4.program();
+        spec.program = registered_l4().program();
         spec.procs = iris_procs();
         spec.schedulers = {entry("STATIC"),    entry("SS"),
                            entry("GSS"),       entry("FACTORING"),

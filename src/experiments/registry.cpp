@@ -395,6 +395,11 @@ const ClosureProgram& registered_closure(ClosureGraph graph) {
   return c;
 }
 
+const L4Kernel& registered_l4() {
+  static const L4Kernel l4;
+  return l4;
+}
+
 std::string scheduler_display_name(const std::string& sched_spec) {
   return make_scheduler(sched_spec)->name();
 }

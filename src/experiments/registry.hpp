@@ -24,6 +24,7 @@
 
 #include "experiments/bench_cli.hpp"
 #include "experiments/figure.hpp"
+#include "kernels/l4.hpp"
 #include "kernels/transitive_closure.hpp"
 #include "sim/machine_sim.hpp"
 #include "store/cell_key.hpp"
@@ -283,11 +284,19 @@ enum class ClosureGraph {
   kClique1024,  ///< clique_graph(1024, 409): fig16, ablation_afs
 };
 
-/// The program of `graph` and its activity trace, built once per process
-/// on first use, whichever thread asks first, and then shared read-only
-/// by every plan and BEST-STATIC oracle that names the graph. A user grid
-/// builds its own.
+/// The program of `graph` and its activity trace, shared read-only by
+/// every plan and BEST-STATIC oracle that names the graph. The first plan
+/// that names it, from whichever thread, builds the graph once for the
+/// program's key and keeps it packed into bits. The trace is built from
+/// those bits once per process by its first reader: a render's ideal
+/// serial time, a simulating cell, or the oracle's factory. Planning
+/// never builds it. A user grid builds its own program.
 const ClosureProgram& registered_closure(ClosureGraph graph);
+
+/// fig09's L4 kernel (the paper's 50 outer iterations), whose programs
+/// share its cost tables: they are drawn once per process by their first
+/// reader, never by a plan.
+const L4Kernel& registered_l4();
 
 /// Display name of the scheduler a spec string builds (e.g. "AFS" ->
 /// "AFS(k=P)") without running anything — the bespoke tables label rows

@@ -9,37 +9,48 @@
 
 namespace afs {
 
+namespace {
+
+// Iterations of the three coalesced loops of an epoch.
+constexpr std::int64_t kLoopA = 1000, kLoopB = 100, kLoopC = 80;
+
+}  // namespace
+
 L4Kernel::L4Kernel(L4Config config) : config_(config) {
   AFS_CHECK(config_.outer >= 1);
   AFS_CHECK(config_.if_prob >= 0.0 && config_.if_prob <= 1.0);
-  Xoshiro256 rng(config_.seed);
-  costs_.resize(static_cast<std::size_t>(config_.outer));
-  for (auto& epoch : costs_) {
-    epoch.resize(3);
-    // Loop A: I2 x I3 x I4 = 1000 iterations of {10} [+ {50} w.p. p].
-    epoch[0].resize(1000);
-    for (auto& c : epoch[0])
-      c = 10.0 + (rng.next_bool(config_.if_prob) ? 50.0 : 0.0);
-    // Loop B: I5 = 100 iterations of {50} + 5 inner of {100} [+ {30}].
-    epoch[1].resize(100);
-    for (auto& c : epoch[1]) {
-      c = 50.0;
-      for (int inner = 0; inner < 5; ++inner)
-        c += 100.0 + (rng.next_bool(config_.if_prob) ? 30.0 : 0.0);
+  tables_ = std::make_shared<const Lazy<Tables>>([config] {
+    Xoshiro256 rng(config.seed);
+    Tables costs(static_cast<std::size_t>(config.outer));
+    for (auto& epoch : costs) {
+      epoch.resize(3);
+      // Loop A: I2 x I3 x I4 = 1000 iterations of {10} [+ {50} w.p. p].
+      epoch[0].resize(kLoopA);
+      for (auto& c : epoch[0])
+        c = 10.0 + (rng.next_bool(config.if_prob) ? 50.0 : 0.0);
+      // Loop B: I5 = 100 iterations of {50} + 5 inner of {100} [+ {30}].
+      epoch[1].resize(kLoopB);
+      for (auto& c : epoch[1]) {
+        c = 50.0;
+        for (int inner = 0; inner < 5; ++inner)
+          c += 100.0 + (rng.next_bool(config.if_prob) ? 30.0 : 0.0);
+      }
+      // Loop C: I7 x I8 = 80 iterations of {30}.
+      epoch[2].assign(kLoopC, 30.0);
     }
-    // Loop C: I7 x I8 = 80 iterations of {30}.
-    epoch[2].assign(80, 30.0);
-  }
+    return costs;
+  });
 }
 
 const std::vector<double>& L4Kernel::costs(int epoch, int loop) const {
   AFS_CHECK(epoch >= 0 && epoch < config_.outer && loop >= 0 && loop < 3);
-  return costs_[static_cast<std::size_t>(epoch)][static_cast<std::size_t>(loop)];
+  return tables()[static_cast<std::size_t>(epoch)]
+                 [static_cast<std::size_t>(loop)];
 }
 
 double L4Kernel::total_units() const {
   double total = 0.0;
-  for (const auto& epoch : costs_)
+  for (const auto& epoch : tables())
     for (const auto& loop : epoch)
       for (double c : loop) total += c;
   return total;
@@ -47,7 +58,7 @@ double L4Kernel::total_units() const {
 
 double L4Kernel::run_serial() const {
   double executed = 0.0;
-  for (const auto& epoch : costs_)
+  for (const auto& epoch : tables())
     for (const auto& loop : epoch)
       for (double c : loop) {
         consume(compute_units(c));
@@ -58,7 +69,7 @@ double L4Kernel::run_serial() const {
 
 double L4Kernel::run_parallel(ThreadPool& pool, Scheduler& sched) const {
   std::atomic<std::int64_t> executed{0};  // units are small integers: exact
-  for (const auto& epoch : costs_) {
+  for (const auto& epoch : tables()) {
     for (const auto& loop : epoch) {
       parallel_for(pool, sched, static_cast<std::int64_t>(loop.size()),
                    [&loop, &executed](IterRange r, int) {
@@ -83,11 +94,14 @@ LoopProgram L4Kernel::program() const {
           ",seed=" + std::to_string(config_.seed) +
           ",ifp=" + key_double(config_.if_prob) + ")";
   p.epochs = config_.outer;
-  // Copy the cost tables into the closure so the program is self-contained.
-  auto costs = costs_;
-  p.epoch_loops = [costs](int e) {
+  // Three footprint-free loops per epoch, each charged per iteration.
+  p.cost = static_cast<double>(config_.outer) *
+           static_cast<double>(kLoopA + kLoopB + kLoopC);
+  p.epoch_loops = [tables = tables_](int e) {
+    // Resolved once per epoch; the first call draws the tables. Each loop
+    // reads its table in place: the program holds the tables.
     std::vector<ParallelLoopSpec> loops;
-    for (const auto& loop : costs[static_cast<std::size_t>(e)]) {
+    for (const auto& loop : tables->get()[static_cast<std::size_t>(e)]) {
       ParallelLoopSpec spec;
       spec.n = static_cast<std::int64_t>(loop.size());
       spec.work = [&loop](std::int64_t i) {

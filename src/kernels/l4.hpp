@@ -15,9 +15,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "runtime/parallel_for.hpp"
+#include "util/lazy.hpp"
 #include "workload/loop_spec.hpp"
 
 namespace afs {
@@ -28,6 +30,10 @@ struct L4Config {
   double if_prob = 0.5;      ///< probability each conditional block executes
 };
 
+/// The kernel's cost tables are drawn by their first reader — costs(),
+/// total_units(), a run, or the first epoch_loops call of a program() —
+/// not by the constructor, so building a program to key and cost its
+/// cells draws none of them.
 class L4Kernel {
  public:
   explicit L4Kernel(L4Config config = {});
@@ -42,17 +48,25 @@ class L4Kernel {
   /// Reference single-thread execution; also returns units executed.
   double run_serial() const;
 
-  /// Simulator descriptor: three parallel loops per epoch.
+  /// Simulator descriptor: three parallel loops per epoch. The program
+  /// shares this kernel's tables and states its cost, so program_cost
+  /// does not draw them.
   LoopProgram program() const;
 
   /// Per-iteration unit costs for epoch e, loop l in {0,1,2} (exposed for
   /// tests and the BEST-STATIC oracle).
   const std::vector<double>& costs(int epoch, int loop) const;
 
+  /// True once a reader has drawn the cost tables.
+  bool tables_built() const { return tables_->built(); }
+
  private:
+  // tables[epoch][loop][i] = work units of iteration i.
+  using Tables = std::vector<std::vector<std::vector<double>>>;
+  const Tables& tables() const { return tables_->get(); }
+
   L4Config config_;
-  // costs_[epoch][loop][i] = work units of iteration i.
-  std::vector<std::vector<std::vector<double>>> costs_;
+  std::shared_ptr<const Lazy<Tables>> tables_;
 };
 
 }  // namespace afs

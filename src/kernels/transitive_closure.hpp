@@ -19,16 +19,19 @@
 
 #include "runtime/parallel_for.hpp"
 #include "util/bit_matrix.hpp"
+#include "util/lazy.hpp"
 #include "workload/graphs.hpp"
 #include "workload/loop_spec.hpp"
 
 namespace afs {
 
 /// A transitive-closure program and the activity trace it reads, which a
-/// BEST-STATIC oracle of the same graph may share.
+/// BEST-STATIC oracle of the same graph may share. The first reader of the
+/// trace builds it: a simulation or ideal serial time of the program, or
+/// the oracle. Building the program builds only its key and cost.
 struct ClosureProgram {
   LoopProgram program;
-  std::shared_ptr<const BitMatrix> trace;
+  std::shared_ptr<const Lazy<BitMatrix>> trace;
 };
 
 class TransitiveClosureKernel {
@@ -45,20 +48,22 @@ class TransitiveClosureKernel {
   /// when epoch K starts?) depends on the algorithm's own progress, so it
   /// is captured by running the serial algorithm once and recording a
   /// trace — the simulated costs then follow the real data-dependent
-  /// execution exactly. Pass `trace` (active_trace of the same graph) to
-  /// share one closure with a BEST-STATIC oracle; null computes it. When
-  /// n * work_per_element is a whole number, each loop's work_sum sums
-  /// its terms with one popcount of the epoch's trace row.
+  /// execution exactly. The program holds the graph packed into bits,
+  /// n * n / 8 bytes, until its first epoch_loops call builds the trace
+  /// from them, and states its cost, n^2, so program_cost builds nothing.
+  /// When n * work_per_element is a whole number, each loop's work_sum
+  /// sums its terms with one popcount of the epoch's trace row.
   static LoopProgram program(const BoolMatrix& graph,
-                             double work_per_element = 2.0,
-                             std::shared_ptr<const BitMatrix> trace = {});
+                             double work_per_element = 2.0);
 
-  /// program(graph) with the trace it reads.
-  static ClosureProgram closure(const BoolMatrix& graph);
+  /// program(graph, work_per_element) with the trace it reads.
+  static ClosureProgram closure(const BoolMatrix& graph,
+                                double work_per_element = 2.0);
 
   /// The activity trace: bit (k, j) is set when iteration j of epoch k
   /// does real work, i.e. edge (j, k) is present as epoch k starts. The
-  /// closure ORs whole rows 64 entries per word: O(n^3 / 64).
+  /// closure ORs row k's non-zero words into each active row:
+  /// O(n^3 / 64) at most.
   static BitMatrix active_trace(const BoolMatrix& graph);
 
  private:

@@ -1,6 +1,7 @@
 #include "runtime/sweep_runner.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -136,32 +137,129 @@ std::string serialize_sim_result(const SimResult& r) {
   return os.str();
 }
 
-bool parse_sim_result(const std::string& text, SimResult& out) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != kCellSchema) return false;
+namespace {
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+bool is_xdigit(char c) {
+  return is_digit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
+}
+
+/// What the classic locale's isspace accepts.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Reads all of `s` as strtod does a NUL-terminated copy: its verdict and
+/// its value.
+bool parse_double(std::string_view s, double& v) {
+  // The serializer's form, [-]0x<hex digit or '.'>...: std::from_chars,
+  // when it reads all of it.
+  std::string_view h = s;
+  const bool negative = !h.empty() && h.front() == '-';
+  if (negative) h.remove_prefix(1);
+  if (h.size() > 2 && h[0] == '0' && (h[1] == 'x' || h[1] == 'X') &&
+      (is_xdigit(h[2]) || h[2] == '.')) {
+    double m = 0.0;
+    const char* last = h.data() + h.size();
+    const auto [end, ec] =
+        std::from_chars(h.data() + 2, last, m, std::chars_format::hex);
+    if (ec == std::errc() && end == last) {
+      v = negative ? -m : m;
+      return true;
+    }
+  }
+  // Any other form gets strtod's verdict on the NUL-terminated value.
+  const std::string copy(s);
+  char* end = nullptr;
+  v = std::strtod(copy.c_str(), &end);
+  return end != copy.c_str() && *end == '\0';
+}
+
+/// Reads one integer as `std::istream >> std::int64_t` does in the
+/// classic locale: optional whitespace, an optional sign, then decimal
+/// digits up to the first non-digit; overflow fails.
+bool extract_int(std::string_view line, std::size_t& i, std::int64_t& v) {
+  while (i < line.size() && is_space(line[i])) ++i;
+  if (i == line.size()) return false;
+  const bool negative = line[i] == '-';
+  if (negative || line[i] == '+') ++i;
+  const std::uint64_t max =
+      negative ? std::uint64_t{1} << 63 : (std::uint64_t{1} << 63) - 1;
+  std::uint64_t magnitude = 0;
+  bool digits = false, overflow = false;
+  for (; i < line.size() && is_digit(line[i]); ++i) {
+    const auto d = static_cast<std::uint64_t>(line[i] - '0');
+    digits = true;
+    if (magnitude > (max - d) / 10)
+      overflow = true;
+    else
+      magnitude = magnitude * 10 + d;
+  }
+  if (!digits || overflow) return false;
+  v = static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
+  return true;
+}
+
+/// A `q` line, read as `std::istringstream(line) >> tag >> four integers`
+/// reads it: the tag is the first whitespace-delimited word and must be
+/// "q"; whatever follows the fourth integer is ignored.
+bool parse_queue_line(std::string_view line, QueueStats& q) {
+  std::size_t i = 0;
+  while (i < line.size() && is_space(line[i])) ++i;
+  const std::size_t begin = i;
+  while (i < line.size() && !is_space(line[i])) ++i;
+  const std::string_view tag = line.substr(begin, i - begin);
+  return extract_int(line, i, q.local_grabs) &&
+         extract_int(line, i, q.remote_grabs) &&
+         extract_int(line, i, q.iters_local) &&
+         extract_int(line, i, q.iters_remote) && tag == "q";
+}
+
+}  // namespace
+
+bool parse_decimal(std::string_view s, std::int64_t& v) {
+  if (!s.empty() && (is_digit(s[0]) || s[0] == '-')) {
+    const char* last = s.data() + s.size();
+    const auto [end, ec] = std::from_chars(s.data(), last, v);
+    if (ec == std::errc() && end == last) return true;
+  }
+  const std::string copy(s);
+  char* end = nullptr;
+  v = std::strtoll(copy.c_str(), &end, 10);
+  return end != copy.c_str() && *end == '\0';
+}
+
+bool parse_sim_result(std::string_view text, SimResult& out) {
+  // The lines of `text` as std::getline splits them: at each '\n', with a
+  // last line that lacks one, and nothing after a final '\n'.
+  std::string_view line;
+  const auto next_line = [&text, &line] {
+    if (text.empty()) return false;
+    const std::size_t eol = text.find('\n');
+    line = text.substr(0, eol);
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    return true;
+  };
+  if (!next_line() || line != kCellSchema) return false;
 
   SimResult r;
-  auto next_kv = [&](const char* key, std::string& value) {
-    if (!std::getline(is, line)) return false;
+  auto next_kv = [&](std::string_view key, std::string_view& value) {
+    if (!next_line()) return false;
     const std::size_t sp = line.find(' ');
-    if (sp == std::string::npos || line.substr(0, sp) != key) return false;
+    if (sp == std::string_view::npos || line.substr(0, sp) != key)
+      return false;
     value = line.substr(sp + 1);
     return !value.empty();
   };
   auto d = [&](const char* key, double& v) {
-    std::string value;
-    if (!next_kv(key, value)) return false;
-    char* end = nullptr;
-    v = std::strtod(value.c_str(), &end);  // strtod accepts %a hexfloats
-    return end != value.c_str() && *end == '\0';
+    std::string_view value;
+    return next_kv(key, value) && parse_double(value, v);
   };
   auto i = [&](const char* key, std::int64_t& v) {
-    std::string value;
-    if (!next_kv(key, value)) return false;
-    char* end = nullptr;
-    v = std::strtoll(value.c_str(), &end, 10);
-    return end != value.c_str() && *end == '\0';
+    std::string_view value;
+    return next_kv(key, value) && parse_decimal(value, v);
   };
 
   std::int64_t queues = 0;
@@ -179,39 +277,27 @@ bool parse_sim_result(const std::string& text, SimResult& out) {
   if (queues < 0 || queues > 1 << 20) return false;
 
   r.sched_stats.queues.resize(static_cast<std::size_t>(queues));
-  for (QueueStats& q : r.sched_stats.queues) {
-    if (!std::getline(is, line)) return false;
-    std::istringstream qs(line);
-    std::string tag;
-    if (!(qs >> tag >> q.local_grabs >> q.remote_grabs >> q.iters_local >>
-          q.iters_remote) ||
-        tag != "q")
-      return false;
-  }
+  for (QueueStats& q : r.sched_stats.queues)
+    if (!next_line() || !parse_queue_line(line, q)) return false;
   // Between the q-lines and "end": optional `xaff`/`ximb` enrichment
   // lines (absent in entries written before those fields existed).
-  auto parse_x = [&](const std::string& value, double& v) {
-    char* end = nullptr;
-    v = std::strtod(value.c_str(), &end);
-    return end != value.c_str() && *end == '\0';
-  };
   for (;;) {
-    if (!std::getline(is, line)) return false;
+    if (!next_line()) return false;
     if (line == "end") break;
     const std::size_t sp = line.find(' ');
-    if (sp == std::string::npos) return false;
-    const std::string key = line.substr(0, sp);
-    const std::string value = line.substr(sp + 1);
+    if (sp == std::string_view::npos) return false;
+    const std::string_view key = line.substr(0, sp);
+    const std::string_view value = line.substr(sp + 1);
     if (key == "xaff") {
-      if (!parse_x(value, r.trace_affinity_score)) return false;
+      if (!parse_double(value, r.trace_affinity_score)) return false;
     } else if (key == "ximb") {
-      if (!parse_x(value, r.trace_imbalance)) return false;
+      if (!parse_double(value, r.trace_imbalance)) return false;
     } else {
       return false;
     }
   }
 
-  out = r;
+  out = std::move(r);
   return true;
 }
 

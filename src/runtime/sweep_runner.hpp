@@ -50,6 +50,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
@@ -255,9 +256,16 @@ double retry_backoff(const SweepOptions& opts, const std::string& label,
 /// Exact text serialization of a SimResult (hexfloat doubles, decimal
 /// integers, trailing end marker) — the store's entry payload.
 /// parse_sim_result round-trips it bit-identically; it returns false on
-/// any truncation, unknown schema or malformed field.
+/// any truncation, unknown schema or malformed field. It parses in place,
+/// reading the hexfloats with std::from_chars; a value in any other form
+/// gets strtod's (or strtoll's) verdict, as the entry format always has.
 std::string serialize_sim_result(const SimResult& r);
-bool parse_sim_result(const std::string& text, SimResult& out);
+bool parse_sim_result(std::string_view text, SimResult& out);
+
+/// Reads all of `s` as strtoll(…, 10) reads a NUL-terminated copy of it —
+/// the verdict and value the store's text formats have always given —
+/// with std::from_chars when `s` is a plain decimal.
+bool parse_decimal(std::string_view s, std::int64_t& v);
 
 /// Machine-readable failure report (schema "afs-sweep-failures-v1"; see
 /// docs/SWEEP_RUNNER.md) of one experiment: its id, cell counts and its

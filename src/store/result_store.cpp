@@ -1,9 +1,12 @@
 #include "store/result_store.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -12,7 +15,7 @@
 #include <sstream>
 #include <vector>
 
-#include "runtime/sweep_runner.hpp"  // serialize_sim_result / parse_sim_result
+#include "runtime/sweep_runner.hpp"  // the payload format and its readers
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/crc32c.hpp"
@@ -27,11 +30,11 @@ constexpr const char* kStoreSchema = "afs-store-v2";
 constexpr const char* kStoreSchemaV1 = "afs-store-v1";
 
 /// The checksummed body of an entry: everything after the crc32c line.
-std::string entry_body(const std::string& key_text,
-                       const std::string& payload) {
-  std::ostringstream os;
-  os << "keybytes " << key_text.size() << '\n' << key_text << payload;
-  return os.str();
+std::string entry_body(std::string_view key_text, std::string_view payload) {
+  std::string body = "keybytes " + std::to_string(key_text.size()) + '\n';
+  body += key_text;
+  body += payload;
+  return body;
 }
 
 std::string crc_line(const std::string& body) {
@@ -47,72 +50,54 @@ std::string entry_content(const CellKey& key, const SimResult& r) {
   return os.str();
 }
 
-/// The structural fields of an entry, independent of which CellKey the
-/// caller is looking for — what verify() needs, and what load()'s
-/// authentication is built from.
-struct ParsedEntry {
-  bool v1 = false;          ///< legacy entry without a checksum
-  std::string key_text;     ///< the embedded CellKey::text
-  std::string payload;      ///< the serialized SimResult
-  SimResult result;         ///< payload, parsed
-};
-
-/// Parses and self-validates an entry: schema, crc (v2), keybytes
-/// framing, payload parse. Key *authentication* against a lookup key is
-/// the caller's job — verify() has no lookup key and checks the filename
-/// hash instead.
-bool parse_entry_fields(const std::string& content, ParsedEntry& out) {
-  std::size_t pos = content.find('\n');
-  if (pos == std::string::npos) return false;
-  const bool v2 = content.compare(0, pos, kStoreSchema) == 0;
-  if (!v2 && content.compare(0, pos, kStoreSchemaV1) != 0) return false;
-  out.v1 = !v2;
-  ++pos;
-
-  if (v2) {
-    // crc32c <8 hex> over everything after this line.
-    const std::size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) return false;
-    const std::string line = content.substr(pos, eol - pos);
-    constexpr const char* kCrc = "crc32c ";
-    if (line.rfind(kCrc, 0) != 0) return false;
-    const std::string hexv = line.substr(std::string(kCrc).size());
-    char* end = nullptr;
-    const unsigned long long want = std::strtoull(hexv.c_str(), &end, 16);
-    if (hexv.size() != 8 || end != hexv.c_str() + 8) return false;
-    pos = eol + 1;
-    if (crc32c(content.data() + pos, content.size() - pos) !=
-        static_cast<std::uint32_t>(want))
-      return false;
+/// Reads an 8-character checksum field as strtoull(…, 16) reads a
+/// NUL-terminated copy, as the entry format always has.
+bool parse_crc(std::string_view hex, std::uint32_t& crc) {
+  if (hex.size() != 8) return false;
+  std::uint32_t v = 0;
+  for (const char c : hex) {
+    const int d = c >= '0' && c <= '9'   ? c - '0'
+                  : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                  : c >= 'A' && c <= 'F' ? c - 'A' + 10
+                                         : -1;
+    if (d < 0) {
+      const std::string copy(hex);
+      char* end = nullptr;
+      const unsigned long long want = std::strtoull(copy.c_str(), &end, 16);
+      crc = static_cast<std::uint32_t>(want);
+      return end == copy.c_str() + 8;
+    }
+    v = v << 4 | static_cast<std::uint32_t>(d);
   }
-
-  const std::size_t eol = content.find('\n', pos);
-  if (eol == std::string::npos) return false;
-  const std::string header = content.substr(pos, eol - pos);
-  constexpr const char* kKeyBytes = "keybytes ";
-  if (header.rfind(kKeyBytes, 0) != 0) return false;
-  char* end = nullptr;
-  const std::string count = header.substr(std::string(kKeyBytes).size());
-  const long long n = std::strtoll(count.c_str(), &end, 10);
-  if (end == count.c_str() || *end != '\0' || n < 0) return false;
-  pos = eol + 1;
-
-  if (content.size() - pos < static_cast<std::size_t>(n)) return false;
-  out.key_text = content.substr(pos, static_cast<std::size_t>(n));
-  pos += static_cast<std::size_t>(n);
-  out.payload = content.substr(pos);
-  return parse_sim_result(out.payload, out.result);
+  crc = v;
+  return true;
 }
 
 /// Parses an entry and authenticates it against `key`. Any malformation —
 /// wrong schema, bad checksum, short file, key mismatch (collision or
 /// corruption), unparseable payload — is a miss.
-bool parse_entry(const std::string& content, const CellKey& key,
-                 SimResult& out) {
-  ParsedEntry e;
-  if (!parse_entry_fields(content, e)) return false;
-  if (e.key_text != key.text) return false;
-  out = e.result;
+bool parse_entry(std::string_view bytes, const CellKey& key, SimResult& out) {
+  StoreEntry e;
+  if (!parse_store_entry(bytes, e) || e.key_text != key.text) return false;
+  out = std::move(e.result);
+  return true;
+}
+
+/// Reads the whole open file `fd` into `bytes`: one fstat, then reads
+/// until its size or end of file. False on an I/O error.
+bool read_whole(int fd, std::string& bytes) {
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return false;
+  bytes.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  bytes.resize(got);
   return true;
 }
 
@@ -151,6 +136,44 @@ std::vector<EntryInfo> list_entries(const std::string& root) {
 
 }  // namespace
 
+bool parse_store_entry(std::string_view bytes, StoreEntry& out) {
+  std::size_t pos = bytes.find('\n');
+  if (pos == std::string_view::npos) return false;
+  const std::string_view schema = bytes.substr(0, pos);
+  const bool v2 = schema == kStoreSchema;
+  if (!v2 && schema != kStoreSchemaV1) return false;
+  out.v1 = !v2;
+  ++pos;
+
+  if (v2) {
+    // crc32c <8 hex> over everything after this line.
+    const std::size_t eol = bytes.find('\n', pos);
+    if (eol == std::string_view::npos) return false;
+    const std::string_view line = bytes.substr(pos, eol - pos);
+    constexpr std::string_view kCrc = "crc32c ";
+    std::uint32_t want = 0;
+    if (!line.starts_with(kCrc) || !parse_crc(line.substr(kCrc.size()), want))
+      return false;
+    pos = eol + 1;
+    if (crc32c(bytes.substr(pos)) != want) return false;
+  }
+
+  const std::size_t eol = bytes.find('\n', pos);
+  if (eol == std::string_view::npos) return false;
+  const std::string_view header = bytes.substr(pos, eol - pos);
+  constexpr std::string_view kKeyBytes = "keybytes ";
+  std::int64_t n = 0;
+  if (!header.starts_with(kKeyBytes) ||
+      !parse_decimal(header.substr(kKeyBytes.size()), n) || n < 0)
+    return false;
+  pos = eol + 1;
+
+  if (bytes.size() - pos < static_cast<std::uint64_t>(n)) return false;
+  out.key_text = bytes.substr(pos, static_cast<std::size_t>(n));
+  out.payload = bytes.substr(pos + static_cast<std::size_t>(n));
+  return parse_sim_result(out.payload, out.result);
+}
+
 ResultStore::ResultStore(std::string root) : root_(std::move(root)) {
   AFS_CHECK_MSG(!root_.empty(), "ResultStore root must not be empty");
 }
@@ -162,28 +185,28 @@ std::string ResultStore::entry_path(const CellKey& key) const {
 
 bool ResultStore::load(const CellKey& key, SimResult& out) {
   if (key.cacheable) {
-    bool existed = false;
-    {
-      std::ifstream in(entry_path(key), std::ios::binary);
-      if (in) {
-        existed = true;
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (parse_entry(buf.str(), key, out)) {
-          hits_.fetch_add(1);
-          // LRU signal for gc(): a served entry is a recently-used entry.
-          std::error_code ec;
-          fs::last_write_time(entry_path(key),
-                              fs::file_time_type::clock::now(), ec);
-          return true;
-        }
+    const std::string path = entry_path(key);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd >= 0) {
+      // One read into one buffer, checked and parsed in place.
+      std::string bytes;
+      const bool hit = read_whole(fd, bytes) && parse_entry(bytes, key, out);
+      if (hit) {
+        // LRU signal for gc(): a served entry is a recently-used entry.
+        const timespec now[2] = {{0, UTIME_OMIT}, {0, UTIME_NOW}};
+        ::futimens(fd, now);
       }
+      ::close(fd);
+      if (hit) {
+        hits_.fetch_add(1);
+        return true;
+      }
+      // A file that exists but does not authenticate is corruption (or a
+      // hash collision's foreign key — equally unusable at this address):
+      // move it aside so it stops failing every future lookup, keep the
+      // bytes for post-mortems. Closed above so the rename is clean.
+      quarantine_entry(path);
     }
-    // A file that exists but does not authenticate is corruption (or a
-    // hash collision's foreign key — equally unusable at this address):
-    // move it aside so it stops failing every future lookup, keep the
-    // bytes for post-mortems. Stream closed above so the rename is clean.
-    if (existed) quarantine_entry(entry_path(key));
   }
   misses_.fetch_add(1);
   return false;
@@ -374,8 +397,8 @@ ScrubOutcome ResultStore::verify() {
     // Self-validation plus the address check the filename encodes: an
     // entry whose embedded key hashes elsewhere can never be served from
     // this path — it is corruption (or a misplaced copy), not data.
-    ParsedEntry e;
-    const bool fields_ok = parse_entry_fields(content, e);
+    StoreEntry e;
+    const bool fields_ok = parse_store_entry(content, e);
     const bool address_ok =
         fields_ok && p.stem().string() == hex64(fnv1a64(e.key_text));
     if (!fields_ok || !address_ok) {

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "sim/sim_result.hpp"
@@ -104,6 +105,20 @@ struct ScrubOutcome {
 
   bool clean() const { return corrupt == 0; }
 };
+
+/// An entry's fields, checked against themselves: schema, checksum (v2),
+/// keybytes framing and payload. The views point into the entry's bytes.
+/// Whether the entry answers a lookup — its key text — is the caller's
+/// check.
+struct StoreEntry {
+  bool v1 = false;            ///< legacy entry without a checksum
+  std::string_view key_text;  ///< the embedded CellKey::text
+  std::string_view payload;   ///< the serialized SimResult
+  SimResult result;           ///< payload, parsed
+};
+
+/// Parses an entry's bytes in one pass; false on any malformation.
+bool parse_store_entry(std::string_view bytes, StoreEntry& out);
 
 class ResultStore final : public CellStore {
  public:

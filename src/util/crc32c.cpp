@@ -7,26 +7,50 @@ namespace {
 
 constexpr std::uint32_t kPoly = 0x82F63B78u;  // 0x1EDC6F41 reflected
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> t{};
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slicing-by-8: tables[0] is the bytewise table; tables[k][i] is the CRC
+// of byte i followed by k zero bytes, so one step folds eight bytes with
+// eight independent lookups.
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int k = 0; k < 8; ++k)
       crc = (crc & 1u) ? (crc >> 1) ^ kPoly : crc >> 1;
-    t[i] = crc;
+    t[0][i] = crc;
   }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
   return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = make_table();
+constexpr Tables kTables = make_tables();
+
+/// Four bytes as a little-endian word, whatever the host's byte order.
+std::uint32_t le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32c(const void* data, std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = (crc >> 8) ^ kTable[(crc ^ p[i]) & 0xFFu];
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ le32(p);
+    const std::uint32_t hi = le32(p + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size)
+    crc = (crc >> 8) ^ kTables[0][(crc ^ *p) & 0xFFu];
   return crc ^ 0xFFFFFFFFu;
 }
 

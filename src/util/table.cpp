@@ -1,6 +1,7 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <sstream>
 
@@ -21,9 +22,16 @@ void Table::add_row(std::vector<std::string> cells) {
 }
 
 std::string Table::num(double v, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << v;
-  return os.str();
+  // std::fixed output, without a stream per number: both print the exact
+  // decimal value rounded to `precision` digits, as printf's %.*f does.
+  AFS_CHECK_MSG(precision >= 0 && precision <= kMaxPrecision,
+                "Table::num precision " << precision);
+  // The largest double has 309 integer digits; a sign and a point.
+  char buf[309 + 2 + kMaxPrecision];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
+                                       std::chars_format::fixed, precision);
+  AFS_CHECK(ec == std::errc());
+  return std::string(buf, end);
 }
 
 std::string Table::num(std::int64_t v) { return std::to_string(v); }

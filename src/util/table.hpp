@@ -17,8 +17,10 @@ class Table {
   /// Appends a row; must have the same arity as the header.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
+  /// Convenience: formats doubles with the given precision (0 to
+  /// kMaxPrecision digits), byte for byte as `std::fixed` does.
   static std::string num(double v, int precision = 3);
+  static constexpr int kMaxPrecision = 64;
   static std::string num(std::int64_t v);
 
   /// Renders with aligned columns and a header rule.

@@ -66,6 +66,13 @@ struct LoopProgram {
   /// random graph) embedding a content hash. Empty means "identity
   /// unknown" — cells running this program bypass the store.
   std::string key;
+
+  /// Optional: program_cost (experiments/figure.hpp) stated by the
+  /// factory, which must equal the value program_cost derives from
+  /// epoch_loops. A factory whose loops read data built on first read
+  /// states it, so that planning a cell does not build that data. 0 means
+  /// derive it.
+  double cost = 0.0;
 };
 
 /// Convenience: a single-loop-per-epoch program.

@@ -695,7 +695,7 @@ TEST(SharedClosure, PlansHoldTheOneRegisteredTrace) {
   ctx.cli.out_dir = fresh_dir("shared_closure");
   const auto held_by = [&ctx](ClosureGraph graph,
                               const std::vector<std::string>& ids) {
-    const std::shared_ptr<const BitMatrix>& trace =
+    const std::shared_ptr<const Lazy<BitMatrix>>& trace =
         registered_closure(graph).trace;
     const long idle = trace.use_count();
     std::vector<ExperimentPlan> plans;
@@ -723,31 +723,64 @@ TEST(SharedClosure, KeysMatchAFreshBuild) {
     EXPECT_EQ(shared.program.key, fresh.key);
     EXPECT_EQ(shared.program.name, fresh.name);
     EXPECT_EQ(shared.program.epochs, fresh.epochs);
-    EXPECT_EQ(shared.trace->rows(), matrix.rows());
+    EXPECT_EQ(shared.trace->get().rows(), matrix.rows());
   }
 }
 
 TEST(SharedClosure, BuiltOnceUnderConcurrentFirstUse) {
   // Daemon readers plan concurrently: four threads asking for a graph's
-  // program for the first time at once all get the one build.
+  // program for the first time at once all get the one build. The run's
+  // workers read a trace first from several cells at once: four threads
+  // reading it for the first time at once all get the one trace, built
+  // by one of them. fig09's L4 tables likewise.
   constexpr int kThreads = 4;
-  std::atomic<int> waiting{kThreads};
+  const auto at_once = [](const std::function<void(int)>& body) {
+    std::atomic<int> waiting{kThreads};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        --waiting;
+        while (waiting.load() > 0) std::this_thread::yield();
+        body(t);
+      });
+    for (std::thread& t : threads) t.join();
+  };
   std::vector<const ClosureProgram*> seen(kThreads);
-  std::vector<const BitMatrix*> traces(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      --waiting;
-      while (waiting.load() > 0) std::this_thread::yield();
-      const ClosureProgram& c = registered_closure(ClosureGraph::kClique320);
-      seen[static_cast<std::size_t>(t)] = &c;
-      traces[static_cast<std::size_t>(t)] = c.trace.get();
-    });
-  for (std::thread& t : threads) t.join();
+  std::vector<const Lazy<BitMatrix>*> lazies(kThreads);
+  at_once([&](int t) {
+    const ClosureProgram& c = registered_closure(ClosureGraph::kClique320);
+    seen[static_cast<std::size_t>(t)] = &c;
+    lazies[static_cast<std::size_t>(t)] = c.trace.get();
+  });
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]);
-    EXPECT_EQ(traces[static_cast<std::size_t>(t)], traces[0]);
+    EXPECT_EQ(lazies[static_cast<std::size_t>(t)], lazies[0]);
   }
+
+  // Run alone, as ctest runs it, nothing has read the trace or the tables
+  // yet (LazyBuild.PlanningBuildsNoTraceOrTable checks that plans do not).
+  const ClosureProgram& c = registered_closure(ClosureGraph::kClique320);
+  std::vector<const BitMatrix*> traces(kThreads);
+  at_once([&](int t) {
+    // A simulating cell's first epoch and a render's serial time read the
+    // trace through epoch_loops; the oracle reads it directly.
+    if (t % 2 == 0) c.program.epoch_loops(t);
+    traces[static_cast<std::size_t>(t)] = &c.trace->get();
+  });
+  for (int t = 1; t < kThreads; ++t)
+    EXPECT_EQ(traces[static_cast<std::size_t>(t)], traces[0]);
+  EXPECT_TRUE(c.trace->built());
+
+  const L4Kernel& l4 = registered_l4();
+  const LoopProgram program = l4.program();
+  std::vector<const std::vector<double>*> tables(kThreads);
+  at_once([&](int t) {
+    if (t % 2 == 0) program.epoch_loops(0);
+    tables[static_cast<std::size_t>(t)] = &l4.costs(0, 0);
+  });
+  for (int t = 1; t < kThreads; ++t)
+    EXPECT_EQ(tables[static_cast<std::size_t>(t)], tables[0]);
+  EXPECT_TRUE(l4.tables_built());
 }
 
 TEST(Registry, SchedulerDisplayNameMatchesTheBuiltScheduler) {

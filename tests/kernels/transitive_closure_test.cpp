@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sched/registry.hpp"
@@ -141,6 +143,72 @@ TEST(TransitiveClosure, BitParallelTraceMatchesByteMatrixOracle) {
   }
   expect_trace_matches_oracle(random_graph(130, 0.08, 1992), "random_graph");
   expect_trace_matches_oracle(clique_graph(320, 160), "clique_graph");
+}
+
+/// The trace from reachability alone: iteration j of epoch k is active
+/// when j reaches k by a path whose inner nodes are all below k — the
+/// edges Warshall's first k epochs have added — found by a BFS from j.
+BitMatrix bfs_trace(const BoolMatrix& g) {
+  const std::int64_t n = g.rows();
+  BitMatrix active(n, n);
+  for (std::int64_t k = 0; k < n; ++k)
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::vector<std::int64_t> stack{j};
+      std::vector<bool> seen(static_cast<std::size_t>(n), false);
+      while (!stack.empty() && !active.test(k, j)) {
+        const std::int64_t u = stack.back();
+        stack.pop_back();
+        for (std::int64_t v = 0; v < n; ++v) {
+          if (!g(u, v)) continue;
+          if (v == k) {
+            active.set(k, j);
+            break;
+          }
+          if (v < k && !seen[static_cast<std::size_t>(v)]) {
+            seen[static_cast<std::size_t>(v)] = true;
+            stack.push_back(v);
+          }
+        }
+      }
+    }
+  return active;
+}
+
+TEST(TransitiveClosure, RowSkippingTraceMatchesBfsOnGraphsWithEmptyRows) {
+  // active_trace never visits a row that starts empty and ORs only row
+  // k's non-zero words: on graphs where many rows start empty, and rows
+  // whose edges sit in one word, it must still match reachability.
+  Xoshiro256 rng(0xe3971);
+  const auto check = [](const BoolMatrix& g, const std::string& what) {
+    const BitMatrix fast = TransitiveClosureKernel::active_trace(g);
+    const BitMatrix bfs = bfs_trace(g);
+    std::int64_t mismatches = 0;
+    for (std::int64_t k = 0; k < g.rows(); ++k)
+      for (std::int64_t j = 0; j < g.rows(); ++j)
+        if (fast.test(k, j) != bfs.test(k, j)) ++mismatches;
+    EXPECT_EQ(mismatches, 0) << what << " n=" << g.rows();
+  };
+  for (std::int64_t n : {1, 5, 63, 64, 65, 70}) {
+    check(BoolMatrix(n, n, 0), "empty");
+    for (double empty_share : {0.3, 0.7, 0.95})
+      for (double p : {0.03, 0.2}) {
+        // Rows drawn empty with probability empty_share; the rest random.
+        BoolMatrix g(n, n, 0);
+        for (std::int64_t j = 0; j < n; ++j) {
+          if (rng.next_double() < empty_share) continue;
+          for (std::int64_t i = 0; i < n; ++i)
+            g(j, i) = rng.next_double() < p ? 1 : 0;
+        }
+        check(g, "random rows");
+      }
+    // Edges only into the last word's columns, from every other row.
+    BoolMatrix tail(n, n, 0);
+    for (std::int64_t j = 0; j < n; j += 2)
+      for (std::int64_t i = std::max<std::int64_t>(0, n - 3); i < n; ++i)
+        tail(j, i) = 1;
+    check(tail, "last word only");
+    check(clique_graph(n, n / 2), "clique");
+  }
 }
 
 TEST(TransitiveClosure, ProgramCostsFollowTrace) {

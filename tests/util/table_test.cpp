@@ -4,7 +4,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -51,6 +54,53 @@ TEST(Table, CsvFormat) {
 TEST(Table, NumFormatsDoublesAndInts) {
   EXPECT_EQ(Table::num(1.23456, 2), "1.23");
   EXPECT_EQ(Table::num(static_cast<std::int64_t>(42)), "42");
+}
+
+TEST(Table, NumPrintsWhatAFixedStreamPrints) {
+  // Table::num formats without a stream; its bytes must be the stream's:
+  // signed zeros, halfway values (ties round to even on the exact binary
+  // value), integers past 2^53, the largest double, subnormals, inf and
+  // nan.
+  const auto stream = [](double v, int precision) {
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(precision) << v;
+    return os.str();
+  };
+  std::vector<double> values{0.0,
+                             -0.0,
+                             0.5,
+                             1.5,
+                             2.5,
+                             -2.5,
+                             0.125,
+                             0.375,
+                             2.675,
+                             1.0005,
+                             0.05,
+                             0.15,
+                             0.25,
+                             1e-3,
+                             999.9995,
+                             9007199254740993.0,
+                             18014398509481985.0,
+                             1e22,
+                             1.7976931348623157e308,
+                             -1.7976931348623157e308,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             2.2250738585072009e-308,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  // Halves, quarters, eighths and sixteenths: the values halfway between
+  // two outputs at precisions 0 to 3 that a double holds exactly.
+  for (int k = -80; k < 80; ++k) values.push_back(k / 16.0);
+  for (const double v : values)
+    for (int precision = 0; precision <= 3; ++precision)
+      EXPECT_EQ(Table::num(v, precision), stream(v, precision))
+          << v << " at precision " << precision;
+  EXPECT_EQ(Table::num(1.0 / 3.0, Table::kMaxPrecision),
+            stream(1.0 / 3.0, Table::kMaxPrecision));
 }
 
 TEST(Table, WriteCsvCreatesDirectories) {
